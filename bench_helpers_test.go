@@ -19,13 +19,17 @@ func (bf *benchFabric) coalescer(size int) *comm.Coalescer {
 }
 
 // drain receives until records items of recSize bytes have arrived.
-func (bf *benchFabric) drain(records, recSize int) {
+func (bf *benchFabric) drain(records, recSize int) error {
 	c := bf.f.Comms()[1]
 	got := 0
 	for got < records {
-		m := c.Recv(comm.AnySource, 1)
+		m, err := c.Recv(comm.AnySource, 1)
+		if err != nil {
+			return err
+		}
 		got += len(m.Data) / recSize
 	}
+	return nil
 }
 
 func (bf *benchFabric) close() { bf.f.Close() }

@@ -479,7 +479,9 @@ func BenchmarkCoalescedExchange(b *testing.B) {
 			co.Append(rec)
 		}
 		co.Flush()
-		fab.drain(1000, len(rec))
+		if err := fab.drain(1000, len(rec)); err != nil {
+			b.Fatal(err)
+		}
 		fab.close()
 	}
 }

@@ -144,26 +144,33 @@ func main() {
 	// unless -elastic recovers from failures or admits joiners) rebuilds
 	// the plan over the current view.
 	w := &worker{
-		cfg: ccfg, opt: opt, testFrac: cfg.Data.TestFrac, reorder: cfg.Reorder,
-		synthetic: cfg.Data.Synthetic, scale: cfg.Data.Scale,
+		cfg: ccfg, opt: opt,
 		elastic: cfg.Elastic, origRank: origRank,
 		dieRank: cfg.Fault.DieRank, dieIter: cfg.Fault.DieIter,
-		table:   comm.NewSuspicionTable(),
-		growAt:  cfg.Fault.GrowAtIter, iterDelay: cfg.Fault.IterDelay.Std(),
+		table:  comm.NewSuspicionTable(),
+		growAt: cfg.Fault.GrowAtIter, iterDelay: cfg.Fault.IterDelay.Std(),
 	}
 	if useShards {
 		// Open (and validate) the file before joining the cluster:
 		// OpenBinary checks the header, shard table and framing eagerly,
 		// so a corrupt file fails here instead of wedging the collective
 		// load — and the same mapping then feeds the load itself.
-		if w.mp, err = sparse.OpenBinary(cfg.Data.Path); err != nil {
+		mp, err := sparse.OpenBinary(cfg.Data.Path)
+		if err != nil {
 			log.Fatal(err)
 		}
-		defer w.mp.Close()
+		defer mp.Close()
+		w.load = dist.ShardLoader(mp, cfg.Data.TestFrac, func(rank int, sp *dist.ShardProblem) {
+			fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
+				rank, sp.Shards, sp.TotalShards,
+				float64(sp.Load.PayloadBytesTouched)/1e6, float64(sp.Load.HeaderBytes)/1e3)
+		})
 	} else {
-		if w.prob, w.panels, err = buildProblem(cfg.Data.Path, cfg.Data.Synthetic, cfg.Data.Scale, cfg.Data.TestFrac, cfg.Sampler.Seed); err != nil {
+		prob, panels, err := buildProblem(cfg.Data.Path, cfg.Data.Synthetic, cfg.Data.Scale, cfg.Data.TestFrac, cfg.Sampler.Seed)
+		if err != nil {
 			log.Fatal(err)
 		}
+		w.load = dist.MatrixLoader(prob, panels)
 	}
 
 	// Each round runs one sealed view (an epoch plus a member list in
@@ -256,13 +263,7 @@ func main() {
 type worker struct {
 	cfg              core.Config
 	opt              dist.Options // Ranks is overwritten per round
-	mp               *sparse.Mapped
-	prob             *core.Problem
-	panels           *partition.Panels
-	testFrac         float64
-	scale            float64
-	synthetic        string
-	reorder          bool
+	load             dist.Loader
 	elastic          bool
 	origRank         int // rank in the epoch-0 view; -1 for a -join worker
 	dieRank, dieIter int
@@ -303,57 +304,23 @@ func (w *worker) round(me int, view comm.View, pin int, mem *comm.Membership) (*
 	}
 	defer c.Close()
 
-	var node *dist.Node
-	var test []sparse.Entry
-	if w.mp != nil {
-		sp, err := dist.LoadShards(c, w.mp, w.testFrac, w.cfg.Seed, opt)
+	var man *dist.Manifest
+	if opt.CheckpointDir != "" {
+		if pin > 0 {
+			man, err = dist.ReadManifest(opt.CheckpointDir, pin)
+		} else if w.elastic {
+			man, err = dist.LatestManifest(opt.CheckpointDir)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
-			me, sp.Shards, sp.TotalShards,
-			float64(sp.Load.PayloadBytesTouched)/1e6, float64(sp.Load.HeaderBytes)/1e3)
-		if node, err = dist.NewNodeLocal(c, w.cfg, sp.Plan, sp.RT, sp.Test, opt); err != nil {
-			return nil, nil, err
-		}
-		test = sp.Test
-	} else {
-		var plan *partition.Plan
-		if w.panels != nil && !w.reorder {
-			// Full-load .bcsr still takes the panel-aligned plan so the
-			// chain matches the shard-native path bit for bit.
-			if plan, test, err = dist.BuildPlanPanels(w.prob, *w.panels, opt); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			plan, test = dist.BuildPlan(w.prob, opt)
-		}
-		if node, err = dist.NewNode(c, w.cfg, plan, test, opt); err != nil {
-			return nil, nil, err
-		}
 	}
-
-	if opt.CheckpointDir != "" && (w.elastic || pin > 0) {
-		var man *dist.Manifest
-		if pin > 0 {
-			if man, err = dist.ReadManifest(opt.CheckpointDir, pin); err != nil {
-				return nil, nil, err
-			}
-		} else if man, err = dist.LatestManifest(opt.CheckpointDir); err != nil {
-			return nil, nil, err
-		}
-		if man != nil {
-			base, err := dist.LoadDistCheckpoint(opt.CheckpointDir, man, test)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := node.Resume(base); err != nil {
-				return nil, nil, err
-			}
-			if me == 0 {
-				log.Printf("resuming from the iteration-%d checkpoint (written by %d ranks)", man.Iter, man.Ranks)
-			}
-		}
+	node, err := dist.StartRank(c, w.load, w.cfg, opt, man)
+	if err != nil {
+		return nil, nil, err
+	}
+	if man != nil && me == 0 {
+		log.Printf("resuming from the iteration-%d checkpoint (written by %d ranks)", man.Iter, man.Ranks)
 	}
 	res, stats, rerr := node.Run()
 	var rf *comm.RankFailedError
@@ -364,7 +331,7 @@ func (w *worker) round(me int, view comm.View, pin int, mem *comm.Membership) (*
 		// the survivors disagree about who died and cannot re-mesh. The
 		// beats carry our incarnation so peers with a conviction against a
 		// previous life at this address still count them.
-		comm.KeepaliveView(c, 0, w.opt.SuspicionTimeout*3/2, view.Members[me].Incarnation)
+		comm.Keepalive(c, 0, w.opt.SuspicionTimeout*3/2, view.Members[me].Incarnation)
 	}
 	return res, stats, rerr
 }

@@ -1,7 +1,7 @@
 package comm
 
-// Coalescer implements the paper's Section IV-C send buffering: calling
-// Isend once per updated item has too much per-message overhead and floods
+// Coalescer implements the paper's Section IV-C send buffering: one
+// message per updated item has too much per-message overhead and floods
 // the runtime with in-flight messages, so updated items are appended to a
 // per-destination buffer that is flushed as one message when full (and
 // explicitly at phase end).
@@ -47,7 +47,7 @@ func (b *Coalescer) Flush() error {
 	}
 	data := b.buf
 	b.buf = nil
-	if err := b.c.SendE(b.dst, b.tag, data); err != nil {
+	if err := b.c.Send(b.dst, b.tag, data); err != nil {
 		return err
 	}
 	b.flushes++

@@ -4,25 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// The collectives come in two flavors: the error-returning E variants,
-// which unwind cleanly when a peer dies mid-operation (the failure
-// detector fails the endpoint, waking every blocked receive), and the
-// original panicking wrappers, kept for SPMD code that treats any
-// communication failure as fatal. Both run the identical algorithms —
-// the wrappers delegate — so their results are bit-identical.
+// The collectives unwind cleanly when a peer dies mid-operation (the
+// failure detector fails the endpoint, waking every blocked receive) and
+// reject malformed peer messages with an error.
 
 // Barrier blocks until every rank has entered it (dissemination
 // algorithm: ⌈log₂ P⌉ rounds of pairwise signals).
-func (c *Comm) Barrier() {
-	if err := c.BarrierE(); err != nil {
-		panic(fmt.Sprintf("comm: Barrier rank %d: %v", c.rank, err))
-	}
-}
-
-// BarrierE is Barrier returning an error when a peer fails mid-barrier.
-func (c *Comm) BarrierE() error {
+func (c *Comm) Barrier() error {
 	tag := c.nextCollTag()
 	p := c.size
 	if p == 1 {
@@ -31,10 +22,10 @@ func (c *Comm) BarrierE() error {
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		if err := c.SendE(dst, tag, nil); err != nil {
+		if err := c.Send(dst, tag, nil); err != nil {
 			return err
 		}
-		if _, err := c.RecvE(src, tag); err != nil {
+		if _, err := c.Recv(src, tag); err != nil {
 			return err
 		}
 	}
@@ -43,16 +34,7 @@ func (c *Comm) BarrierE() error {
 
 // Bcast distributes root's data to all ranks and returns each rank's copy
 // (binomial tree).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	out, err := c.BcastE(root, data)
-	if err != nil {
-		panic(fmt.Sprintf("comm: Bcast rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// BcastE is Bcast returning an error when a peer fails mid-broadcast.
-func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
+func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	tag := c.nextCollTag()
 	p := c.size
 	if p == 1 {
@@ -65,7 +47,7 @@ func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 	mask := 1
 	for mask < p {
 		if vr&mask != 0 {
-			m, err := c.RecvE((vr-mask+root)%p, tag)
+			m, err := c.Recv((vr-mask+root)%p, tag)
 			if err != nil {
 				return nil, err
 			}
@@ -77,7 +59,7 @@ func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 	mask >>= 1
 	for mask > 0 {
 		if vr+mask < p {
-			if err := c.SendE((vr+mask+root)%p, tag, data); err != nil {
+			if err := c.Send((vr+mask+root)%p, tag, data); err != nil {
 				return nil, err
 			}
 		}
@@ -89,16 +71,7 @@ func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 // Allgather collects every rank's blob; the result slice is indexed by
 // rank. Implemented as a ring so each rank sends P-1 messages of its own
 // size.
-func (c *Comm) Allgather(mine []byte) [][]byte {
-	out, err := c.AllgatherE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: Allgather rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllgatherE is Allgather returning an error when a peer fails mid-ring.
-func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
+func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 	tag := c.nextCollTag()
 	p := c.size
 	out := make([][]byte, p)
@@ -112,20 +85,26 @@ func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 	curOwner := c.rank
 	for step := 0; step < p-1; step++ {
 		// Send the block we most recently received, pull a new one from
-		// the left (classic allgather ring).
-		if err := c.SendE(right, tag, appendOwner(cur, curOwner)); err != nil {
+		// the left (classic allgather ring): at step s that is the block
+		// of rank (rank − 1 − s) mod P.
+		if err := c.Send(right, tag, appendOwner(cur, curOwner)); err != nil {
 			return nil, err
 		}
-		m, err := c.RecvE(left, tag)
+		m, err := c.Recv(left, tag)
 		if err != nil {
 			return nil, err
 		}
-		cur, curOwner = splitOwner(m.Data)
+		curOwner = (c.rank - 1 - step + 2*p) % p
+		if cur, err = splitOwner(m.Data, curOwner); err != nil {
+			return nil, err
+		}
 		out[curOwner] = cur
 	}
 	return out, nil
 }
 
+// appendOwner frames an allgather block with its owner's rank (u32
+// little-endian trailer).
 func appendOwner(b []byte, owner int) []byte {
 	out := make([]byte, len(b)+4)
 	copy(out, b)
@@ -133,9 +112,17 @@ func appendOwner(b []byte, owner int) []byte {
 	return out
 }
 
-func splitOwner(b []byte) ([]byte, int) {
+// splitOwner strips appendOwner's trailer, checking it names the rank
+// whose block the ring delivers at this step.
+func splitOwner(b []byte, want int) ([]byte, error) {
 	n := len(b) - 4
-	return b[:n], int(binary.LittleEndian.Uint32(b[n:]))
+	if n < 0 {
+		return nil, fmt.Errorf("comm: allgather block of %d bytes has no owner trailer", len(b))
+	}
+	if owner := binary.LittleEndian.Uint32(b[n:]); owner != uint32(want) {
+		return nil, fmt.Errorf("comm: allgather block owned by rank %d, want %d", owner, want)
+	}
+	return b[:n], nil
 }
 
 // AllreduceSumOrdered sums per-rank float64 vectors with a fixed
@@ -143,26 +130,16 @@ func splitOwner(b []byte) ([]byte, int) {
 // order, so the result is bit-identical on every rank and independent of
 // message timing. This is the deterministic reduction the distributed
 // hyperparameter sampling uses (DESIGN.md decision 6).
-func (c *Comm) AllreduceSumOrdered(mine []float64) []float64 {
-	out, err := c.AllreduceSumOrderedE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: AllreduceSumOrdered rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllreduceSumOrderedE is AllreduceSumOrdered returning an error when a
-// peer fails mid-reduction (or the partial lengths disagree).
-func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
-	blobs, err := c.AllgatherE(encodeFloat64s(mine))
+func (c *Comm) AllreduceSumOrdered(mine []float64) ([]float64, error) {
+	blobs, err := c.Allgather(AppendFloat64s(nil, mine))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(mine))
-	for r := 0; r < c.size; r++ {
-		vals := decodeFloat64s(blobs[r])
-		if len(vals) != len(out) {
-			return nil, fmt.Errorf("allreduce length mismatch across ranks (%d vs %d)", len(vals), len(out))
+	vals := make([]float64, len(mine))
+	for _, b := range blobs {
+		if err := DecodeFloat64sInto(vals, b); err != nil {
+			return nil, fmt.Errorf("allreduce: %w", err)
 		}
 		for i, v := range vals {
 			out[i] += v
@@ -176,20 +153,10 @@ func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 // summation tree (and hence the last bits) depends on P. Used where exact
 // cross-P reproducibility is not required; the ablation benchmark
 // compares both.
-func (c *Comm) AllreduceSumTree(mine []float64) []float64 {
-	out, err := c.AllreduceSumTreeE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: AllreduceSumTree rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllreduceSumTreeE is AllreduceSumTree returning an error when a peer
-// fails mid-reduction.
-func (c *Comm) AllreduceSumTreeE(mine []float64) ([]float64, error) {
+func (c *Comm) AllreduceSumTree(mine []float64) ([]float64, error) {
 	tag := c.nextCollTag()
 	p := c.size
-	acc := append([]float64(nil), mine...)
+	acc := slices.Clone(mine)
 	if p == 1 {
 		return acc, nil
 	}
@@ -200,72 +167,76 @@ func (c *Comm) AllreduceSumTreeE(mine []float64) ([]float64, error) {
 		pow *= 2
 	}
 	rem := p - pow
+	scratch := make([]float64, len(acc))
+	recvAdd := func(src int) error {
+		m, err := c.Recv(src, tag)
+		if err != nil {
+			return err
+		}
+		if err := DecodeFloat64sInto(scratch, m.Data); err != nil {
+			return fmt.Errorf("allreduce: %w", err)
+		}
+		for i, v := range scratch {
+			acc[i] += v
+		}
+		return nil
+	}
 	// Extra ranks fold their data into partner (rank − pow) and receive
 	// the final result from it afterwards.
 	if c.rank >= pow {
-		if err := c.SendE(c.rank-pow, tag, encodeFloat64s(acc)); err != nil {
+		if err := c.Send(c.rank-pow, tag, AppendFloat64s(nil, acc)); err != nil {
 			return nil, err
 		}
-		m, err := c.RecvE(c.rank-pow, tag)
+		m, err := c.Recv(c.rank-pow, tag)
 		if err != nil {
 			return nil, err
 		}
-		return decodeFloat64s(m.Data), nil
+		if err := DecodeFloat64sInto(acc, m.Data); err != nil {
+			return nil, fmt.Errorf("allreduce: %w", err)
+		}
+		return acc, nil
 	}
 	if c.rank < rem {
-		m, err := c.RecvE(c.rank+pow, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := addInto(acc, decodeFloat64s(m.Data)); err != nil {
+		if err := recvAdd(c.rank + pow); err != nil {
 			return nil, err
 		}
 	}
 	for k := 1; k < pow; k <<= 1 {
 		partner := c.rank ^ k
-		if err := c.SendE(partner, tag, encodeFloat64s(acc)); err != nil {
+		if err := c.Send(partner, tag, AppendFloat64s(nil, acc)); err != nil {
 			return nil, err
 		}
-		m, err := c.RecvE(partner, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := addInto(acc, decodeFloat64s(m.Data)); err != nil {
+		if err := recvAdd(partner); err != nil {
 			return nil, err
 		}
 	}
 	if c.rank < rem {
-		if err := c.SendE(c.rank+pow, tag, encodeFloat64s(acc)); err != nil {
+		if err := c.Send(c.rank+pow, tag, AppendFloat64s(nil, acc)); err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
 
-func addInto(dst, src []float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("allreduce length mismatch across ranks (%d vs %d)", len(src), len(dst))
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return nil
-}
-
-// encodeFloat64s serializes a float64 slice little-endian.
-func encodeFloat64s(v []float64) []byte {
-	b := make([]byte, 8*len(v))
+// AppendFloat64s appends v to b as little-endian IEEE-754 bits, 8 bytes
+// per value — the one float64 wire layout of the distributed engine.
+func AppendFloat64s(b []byte, v []float64) []byte {
+	n := len(b)
+	b = slices.Grow(b, 8*len(v))[:n+8*len(v)]
 	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
+		binary.LittleEndian.PutUint64(b[n+8*i:], math.Float64bits(x))
 	}
 	return b
 }
 
-// decodeFloat64s is the inverse of encodeFloat64s.
-func decodeFloat64s(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+// DecodeFloat64sInto fills dst from an AppendFloat64s encoding, which must
+// hold exactly len(dst) values.
+func DecodeFloat64sInto(dst []float64, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("float64 payload of %d bytes, want %d values (%d bytes)", len(b), len(dst), 8*len(dst))
 	}
-	return v
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
 }

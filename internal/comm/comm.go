@@ -3,10 +3,9 @@
 // the features the paper's distributed BPMF needs:
 //
 //   - ranks and tagged point-to-point messages with MPI-style matching
-//     (by source and tag, with wildcard source);
-//   - non-blocking Isend/Irecv returning Request handles (the paper's
-//     MPI_Isend/MPI_Irecv, used to overlap communication with
-//     computation);
+//     (by source and tag, with wildcard source); transports queue sends
+//     internally, so a send does not wait for its matching receive and
+//     communication overlaps computation;
 //   - coalescing send buffers (the paper's Section IV-C: per-item sends
 //     are too expensive, so items are batched until a buffer fills);
 //   - collectives: barrier, broadcast, allgather, and a deterministic
@@ -15,6 +14,12 @@
 //   - pluggable transports: an in-process fabric (goroutine channels) for
 //     single-binary virtual clusters and tests, and a TCP mesh for real
 //     multi-process runs (cmd/bpmf-dist).
+//
+// Every operation that moves data returns an error and never panics on
+// what arrives from a peer: a closed or failed endpoint (a peer death
+// reported by the heartbeat Detector or the transport), an invalid rank,
+// and a malformed message all surface as errors, so a rank unwinds to
+// its caller instead of crashing or hanging the process.
 package comm
 
 import (
@@ -24,7 +29,7 @@ import (
 	"time"
 )
 
-// AnySource matches messages from any rank in Recv/Irecv.
+// AnySource matches messages from any rank in Recv.
 const AnySource = -1
 
 // collectiveTagBase reserves the upper tag space for internal collective
@@ -60,9 +65,9 @@ type Comm struct {
 	closed  bool
 	collSeq uint64 // collective sequence number (advances identically on all ranks)
 
-	// failErr is the endpoint's terminal error (a detected peer failure or
-	// transport corruption); failCh is closed when it is set, waking every
-	// blocked error-returning receive.
+	// failErr is the endpoint's terminal error (a detected peer failure,
+	// transport corruption, or errClosed); failCh is closed when it is
+	// set, waking every blocked receive.
 	failErr error
 	failCh  chan struct{}
 
@@ -73,6 +78,9 @@ type Comm struct {
 // ErrRecvTimeout is returned by RecvTimeout when no matching message
 // arrives within the deadline (and the endpoint has not failed).
 var ErrRecvTimeout = errors.New("comm: receive timed out")
+
+// errClosed is the terminal error of an endpoint closed while healthy.
+var errClosed = errors.New("comm: endpoint closed")
 
 // Stats counts traffic through an endpoint.
 type Stats struct {
@@ -90,10 +98,10 @@ func newComm(rank, size int) *Comm {
 	return &Comm{rank: rank, size: size, failCh: make(chan struct{})}
 }
 
-// Fail marks the endpoint as failed: every blocked and future
-// error-returning operation observes err. The first error wins;
-// subsequent calls are no-ops. Transports and the failure detector call
-// this when a peer dies; it never fires on a healthy endpoint.
+// Fail marks the endpoint as failed: every blocked and future operation
+// observes err. The first error wins; subsequent calls are no-ops.
+// Transports and the failure detector call this when a peer dies; it
+// never fires on a healthy endpoint.
 func (c *Comm) Fail(err error) {
 	c.mu.Lock()
 	if c.failErr == nil && err != nil {
@@ -140,89 +148,18 @@ func (c *Comm) deliver(m Message) {
 	c.mu.Unlock()
 }
 
-// Request is a handle for a non-blocking operation.
-type Request struct {
-	ch  chan Message
-	msg *Message
-	mu  sync.Mutex
-}
-
-// Wait blocks until the operation completes. For receives it returns the
-// message; for sends it returns a zero Message.
-func (r *Request) Wait() Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.msg == nil {
-		m := <-r.ch
-		r.msg = &m
-	}
-	return *r.msg
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() (Message, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.msg != nil {
-		return *r.msg, true
-	}
-	select {
-	case m := <-r.ch:
-		r.msg = &m
-		return m, true
-	default:
-		return Message{}, false
-	}
-}
-
-// completedRequest returns an already-completed request.
-func completedRequest() *Request {
-	r := &Request{ch: make(chan Message, 1)}
-	r.msg = &Message{}
-	return r
-}
-
-// Isend sends data to dst with the given tag without blocking. The data
-// slice must not be modified after the call (hand ownership to the
-// layer, as with MPI_Isend's buffer until completion — here the transport
-// copies or queues it immediately, so the returned request is already
-// complete; it exists for MPI-shaped code).
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	if err := c.send(dst, tag, data); err != nil {
-		panic(fmt.Sprintf("comm: Isend rank %d -> %d: %v", c.rank, dst, err))
-	}
-	return completedRequest()
-}
-
-// Send sends data to dst with the given tag (blocking semantics are
-// identical here because transports queue internally).
-func (c *Comm) Send(dst, tag int, data []byte) {
-	if err := c.send(dst, tag, data); err != nil {
-		panic(fmt.Sprintf("comm: Send rank %d -> %d: %v", c.rank, dst, err))
-	}
-}
-
-// SendE is Send returning an error instead of panicking: a closed or
-// failed endpoint, an invalid destination, and transport errors all
-// surface to the caller. The fault-tolerant engine paths use this so a
-// dead peer unwinds the rank instead of crashing the process.
-func (c *Comm) SendE(dst, tag int, data []byte) error {
-	return c.send(dst, tag, data)
-}
-
-func (c *Comm) send(dst, tag int, data []byte) error {
+// Send queues data for dst with the given tag. The data slice is owned
+// by the transport after the call. A closed or failed endpoint, an
+// invalid destination, and transport errors surface as errors.
+func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("invalid destination rank %d (size %d)", dst, c.size)
 	}
 	c.mu.Lock()
-	if c.failErr != nil {
+	if c.failErr != nil { // failed or closed
 		err := c.failErr
 		c.mu.Unlock()
 		return err
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("endpoint closed")
 	}
 	c.stats.MsgsSent++
 	c.stats.BytesSent += int64(len(data))
@@ -232,24 +169,6 @@ func (c *Comm) send(dst, tag int, data []byte) error {
 		return fmt.Errorf("endpoint has no transport")
 	}
 	return tr.Send(dst, tag, data)
-}
-
-// Recv blocks until a message with the given tag arrives from src
-// (AnySource matches any rank).
-func (c *Comm) Recv(src, tag int) Message {
-	return c.Irecv(src, tag).Wait()
-}
-
-// Irecv posts a non-blocking receive for (src, tag) and returns its
-// request handle.
-func (c *Comm) Irecv(src, tag int) *Request {
-	m, w := c.postRecv(src, tag)
-	if w == nil {
-		r := &Request{ch: make(chan Message, 1)}
-		r.msg = &m
-		return r
-	}
-	return &Request{ch: w.ch}
 }
 
 // postRecv matches an already-pending message (FIFO per pair) or
@@ -287,32 +206,23 @@ func (c *Comm) cancelWaiter(w *waiter) (Message, bool) {
 	return <-w.ch, true
 }
 
-// RecvE blocks until a message with the given tag arrives from src, or
-// the endpoint fails (a peer death detected by the heartbeat detector, a
-// transport-level corruption). A message already matched when the
-// failure fires is still delivered.
-func (c *Comm) RecvE(src, tag int) (Message, error) {
-	if err := c.Err(); err != nil {
-		return Message{}, err
-	}
-	m, w := c.postRecv(src, tag)
-	if w == nil {
-		return m, nil
-	}
-	select {
-	case m := <-w.ch:
-		return m, nil
-	case <-c.failCh:
-		if m, ok := c.cancelWaiter(w); ok {
-			return m, nil
-		}
-		return Message{}, c.Err()
-	}
+// Recv blocks until a message with the given tag arrives from src
+// (AnySource matches any rank), or the endpoint fails or closes. A
+// message already matched when the failure fires is still delivered.
+func (c *Comm) Recv(src, tag int) (Message, error) {
+	return c.recv(src, tag, nil)
 }
 
-// RecvTimeout is RecvE with a per-operation deadline: it returns
+// RecvTimeout is Recv with a per-operation deadline: it returns
 // ErrRecvTimeout when no matching message arrives within d.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	return c.recv(src, tag, timer.C)
+}
+
+// recv is the body of Recv and RecvTimeout; a nil timeout never fires.
+func (c *Comm) recv(src, tag int, timeout <-chan time.Time) (Message, error) {
 	if err := c.Err(); err != nil {
 		return Message{}, err
 	}
@@ -320,8 +230,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
 	if w == nil {
 		return m, nil
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
 	select {
 	case m := <-w.ch:
 		return m, nil
@@ -330,7 +238,7 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
 			return m, nil
 		}
 		return Message{}, c.Err()
-	case <-timer.C:
+	case <-timeout:
 		if m, ok := c.cancelWaiter(w); ok {
 			return m, nil
 		}
@@ -338,19 +246,8 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
 	}
 }
 
-// Probe reports whether a message matching (src, tag) is waiting.
-func (c *Comm) Probe(src, tag int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.pending {
-		if (src == AnySource || src == m.Src) && tag == m.Tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Close shuts down the endpoint's transport.
+// Close shuts down the endpoint's transport. Blocked and future
+// receives return errClosed (unless the endpoint had already failed).
 func (c *Comm) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -358,6 +255,10 @@ func (c *Comm) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.failErr == nil {
+		c.failErr = errClosed
+		close(c.failCh)
+	}
 	tr := c.tr
 	c.mu.Unlock()
 	if tr != nil {

@@ -9,9 +9,9 @@ import (
 // failure.go is the failure-detection layer: every rank runs a Detector
 // that exchanges heartbeats with all peers over a reserved tag. A peer
 // silent for longer than the suspicion timeout fails the local endpoint
-// with a RankFailedError, which wakes every blocked error-returning
-// operation — so a rank stuck in a ghost wait or a collective on a dead
-// peer unwinds within the suspicion timeout instead of hanging forever.
+// with a RankFailedError, which wakes every blocked operation — so a
+// rank stuck in a ghost wait or a collective on a dead peer unwinds
+// within the suspicion timeout instead of hanging forever.
 // MPI-style accuracy caveats apply: the detector can only suspect, not
 // prove, death; an extremely delayed peer is indistinguishable from a
 // dead one, so the suspicion timeout trades detection latency against
@@ -44,39 +44,33 @@ func (e *RankFailedError) Unwrap() error { return e.Err }
 // Detector is one rank's heartbeat failure detector: a sender goroutine
 // emits heartbeats to every peer each interval, a receiver goroutine
 // tracks per-peer last-heard times and fails the endpoint when a peer's
-// silence exceeds the suspicion timeout.
+// silence exceeds the suspicion timeout. Its state is keyed by member
+// identity (address, incarnation), and every heartbeat carries the
+// sender's incarnation.
 type Detector struct {
 	c                    *Comm
 	interval, suspicion  time.Duration
-	members              []Member        // per-rank identities; nil = unkeyed
-	table                *SuspicionTable // cross-round convictions; may be nil
-	beat                 []byte          // heartbeat payload (own incarnation), nil unkeyed
+	members              []Member        // per-rank identities
+	table                *SuspicionTable // cross-round convictions
+	beat                 []byte          // heartbeat payload: own incarnation
 	done                 chan struct{}
 	senderDone, recvDone chan struct{}
 }
 
 // StartDetector attaches a heartbeat failure detector to the endpoint.
-// interval is the heartbeat period (pick ≲ suspicion/10); suspicion is
-// how long a peer may stay silent before it is declared failed. On a
-// single-rank communicator the detector is inert. Stop it before
-// closing the endpoint.
-func StartDetector(c *Comm, interval, suspicion time.Duration) *Detector {
-	return StartDetectorView(c, interval, suspicion, nil, nil)
-}
-
-// StartDetectorView is StartDetector with detector state keyed by
-// (address, incarnation): members names each rank's identity and table
-// carries convictions across re-meshes. Heartbeats then carry the
-// sender's incarnation; beats from an older incarnation at a peer's
-// address are ignored (a stale process cannot keep its successor's
-// entry fresh), convictions are recorded in the table, and a member
-// whose exact incarnation the table already convicted is failed
+// interval is the heartbeat period (0 derives suspicion/20); suspicion
+// is how long a peer may stay silent before it is declared failed.
+// members names each rank's identity and table (non-nil) carries
+// convictions across re-meshes: beats from an older incarnation at a
+// peer's address are ignored (a stale process cannot keep its
+// successor's entry fresh), convictions are recorded in the table, and
+// a member whose exact incarnation the table already convicted is failed
 // immediately — while a *new* incarnation at a convicted address gets a
-// full suspicion window, which is what lets a crashed rank rejoin at
-// its old address without being insta-convicted by survivors' stale
-// state. nil members (and table) degrade to the unkeyed StartDetector
-// behavior.
-func StartDetectorView(c *Comm, interval, suspicion time.Duration, members []Member, table *SuspicionTable) *Detector {
+// full suspicion window, which is what lets a crashed rank rejoin at its
+// old address without being insta-convicted by survivors' stale state.
+// On a single-rank communicator the detector is inert. Stop it before
+// closing the endpoint.
+func StartDetector(c *Comm, interval, suspicion time.Duration, members []Member, table *SuspicionTable) *Detector {
 	if interval <= 0 {
 		interval = suspicion / 20
 	}
@@ -91,36 +85,36 @@ func StartDetectorView(c *Comm, interval, suspicion time.Duration, members []Mem
 		senderDone: make(chan struct{}),
 		recvDone:   make(chan struct{}),
 	}
-	if members != nil {
-		if len(members) != c.Size() {
-			c.Fail(&RankFailedError{Rank: -1, Err: fmt.Errorf("detector got %d member identities for a size-%d communicator", len(members), c.Size())})
-			close(d.senderDone)
-			close(d.recvDone)
-			return d
-		}
-		d.beat = binary.LittleEndian.AppendUint64(nil, members[c.Rank()].Incarnation)
-		if table != nil {
-			for r, mb := range members {
-				if r != c.Rank() && table.Convicted(mb.Addr, mb.Incarnation) {
-					c.Fail(&RankFailedError{
-						Rank: r,
-						Err:  fmt.Errorf("incarnation %d at %s was already convicted", mb.Incarnation, mb.Addr),
-					})
-					close(d.senderDone)
-					close(d.recvDone)
-					return d
-				}
+	err := d.admit()
+	if err != nil {
+		c.Fail(err)
+	}
+	if err != nil || c.Size() == 1 || suspicion <= 0 {
+		close(d.senderDone)
+		close(d.recvDone)
+		return d
+	}
+	d.beat = binary.LittleEndian.AppendUint64(nil, members[c.Rank()].Incarnation)
+	go d.sendLoop()
+	go d.recvLoop()
+	return d
+}
+
+// admit checks the member list against the communicator and the
+// conviction table before any heartbeat flows.
+func (d *Detector) admit() error {
+	if len(d.members) != d.c.Size() {
+		return &RankFailedError{Rank: -1, Err: fmt.Errorf("detector got %d member identities for a size-%d communicator", len(d.members), d.c.Size())}
+	}
+	for r, mb := range d.members {
+		if r != d.c.Rank() && d.table.Convicted(mb.Addr, mb.Incarnation) {
+			return &RankFailedError{
+				Rank: r,
+				Err:  fmt.Errorf("incarnation %d at %s was already convicted", mb.Incarnation, mb.Addr),
 			}
 		}
 	}
-	if c.Size() > 1 && suspicion > 0 {
-		go d.sendLoop()
-		go d.recvLoop()
-	} else {
-		close(d.senderDone)
-		close(d.recvDone)
-	}
-	return d
+	return nil
 }
 
 // Stop shuts the detector down and waits for its goroutines. It does not
@@ -147,7 +141,7 @@ func (c *Comm) sendHeartbeat(dst int, payload []byte) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fmt.Errorf("endpoint closed")
+		return errClosed
 	}
 	tr := c.tr
 	c.mu.Unlock()
@@ -157,88 +151,61 @@ func (c *Comm) sendHeartbeat(dst int, payload []byte) error {
 	return tr.Send(dst, heartbeatTag, payload)
 }
 
-// Keepalive emits best-effort heartbeats to every peer for the given
-// duration, even on a failed endpoint. Survivors of a rank failure call
-// it while unwinding: their own detector already has its verdict, but a
-// peer whose detector has not yet convicted the dead rank would otherwise
-// see this rank go quiet first and suspect it instead — and survivors
-// that disagree about who died cannot rebuild a mesh. The duration should
-// cover a full suspicion window, so the slowest peer convicts the right
-// rank before this one goes silent.
-func Keepalive(c *Comm, interval, duration time.Duration) {
-	keepalive(c, interval, duration, nil)
-}
-
-// KeepaliveView is Keepalive with the sender's incarnation stamped on
-// every beat, for clusters running incarnation-keyed detectors (an
-// unstamped beat is accepted as current by both detector modes, but a
-// stamped one lets peers discard beats from a stale incarnation at this
-// address).
-func KeepaliveView(c *Comm, interval, duration time.Duration, incarnation uint64) {
-	keepalive(c, interval, duration, binary.LittleEndian.AppendUint64(nil, incarnation))
-}
-
-func keepalive(c *Comm, interval, duration time.Duration, payload []byte) {
+// Keepalive emits best-effort heartbeats stamped with the sender's
+// incarnation to every peer for the given duration, even on a failed
+// endpoint. Survivors of a rank failure call it while unwinding: their
+// own detector already has its verdict, but a peer whose detector has
+// not yet convicted the dead rank would otherwise see this rank go quiet
+// first and suspect it instead — and survivors that disagree about who
+// died cannot rebuild a mesh. The duration should cover a full suspicion
+// window, so the slowest peer convicts the right rank before this one
+// goes silent.
+func Keepalive(c *Comm, interval, duration time.Duration, incarnation uint64) {
+	payload := binary.LittleEndian.AppendUint64(nil, incarnation)
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	deadline := time.Now().Add(duration)
-	for time.Now().Before(deadline) {
-		for peer := 0; peer < c.Size(); peer++ {
-			if peer == c.Rank() {
-				continue
-			}
-			if c.sendHeartbeat(peer, payload) != nil {
-				return // endpoint closed: nothing left to prove
-			}
-		}
+	for time.Now().Before(deadline) && beatAll(c, payload) {
 		time.Sleep(interval)
 	}
 }
 
-// sendLoop emits best-effort heartbeats: a send error means the endpoint
-// is closed (the peer-death case is handled by sendHeartbeat bypassing
-// the failed state), so errors just end the loop.
+// beatAll sends one heartbeat to every peer. It reports false once the
+// endpoint is closed (the peer-death case is handled by sendHeartbeat
+// bypassing the failed state): nothing is left to prove.
+func beatAll(c *Comm, payload []byte) bool {
+	for peer := 0; peer < c.Size(); peer++ {
+		if peer != c.Rank() && c.sendHeartbeat(peer, payload) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// sendLoop emits the detector's heartbeats each interval until Stop or
+// the endpoint closes.
 func (d *Detector) sendLoop() {
 	defer close(d.senderDone)
 	tick := time.NewTicker(d.interval)
 	defer tick.Stop()
-	beat := func() bool {
-		for peer := 0; peer < d.c.Size(); peer++ {
-			if peer == d.c.Rank() {
-				continue
-			}
-			if err := d.c.sendHeartbeat(peer, d.beat); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if !beat() {
-		return
-	}
-	for {
+	for beatAll(d.c, d.beat) {
 		select {
 		case <-d.done:
 			return
 		case <-tick.C:
-			if !beat() {
-				return
-			}
 		}
 	}
 }
 
-// staleBeat reports whether a received heartbeat came from an older
-// incarnation than the member the detector expects at that rank — a
-// process from a previous view still draining must not keep its
-// successor's liveness entry fresh. Unstamped beats (legacy detectors,
-// plain Keepalive) are always accepted as current.
+// staleBeat reports whether a received heartbeat must be ignored: one
+// not stamped with an incarnation, or stamped with an older incarnation
+// than the member the detector expects at that rank — a process from a
+// previous view still draining must not keep its successor's liveness
+// entry fresh.
 func (d *Detector) staleBeat(m Message) bool {
-	if d.members == nil || m.Src < 0 || m.Src >= len(d.members) || len(m.Data) < 8 {
-		return false
-	}
-	return binary.LittleEndian.Uint64(m.Data) < d.members[m.Src].Incarnation
+	return m.Src < 0 || m.Src >= len(d.members) || len(m.Data) != 8 ||
+		binary.LittleEndian.Uint64(m.Data) < d.members[m.Src].Incarnation
 }
 
 // recvLoop consumes heartbeats and fails the endpoint on the first peer
@@ -276,9 +243,7 @@ func (d *Detector) recvLoop() {
 				continue
 			}
 			if silence := now.Sub(last[r]); silence > d.suspicion {
-				if d.table != nil && d.members != nil {
-					d.table.Convict(d.members[r].Addr, d.members[r].Incarnation)
-				}
+				d.table.Convict(d.members[r].Addr, d.members[r].Incarnation)
 				d.c.Fail(&RankFailedError{
 					Rank: r,
 					Err:  fmt.Errorf("no heartbeat for %v (suspicion timeout %v)", silence.Round(time.Millisecond), d.suspicion),

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// fault_test.go exercises the failure layer: error-returning sends and
+// fault_test.go exercises the failure layer: failing sends and
 // receives, the heartbeat detector, the deterministic fault fabric, and
 // the TCP transport's reaction to a peer dying mid-frame.
 
@@ -18,19 +18,19 @@ func TestSendEAfterCloseErrors(t *testing.T) {
 	f := NewFabric(2)
 	c := f.Comms()[0]
 	f.Close()
-	if err := c.SendE(1, 0, []byte("x")); err == nil {
-		t.Fatal("SendE on a closed endpoint must error")
+	if err := c.Send(1, 0, []byte("x")); err == nil {
+		t.Fatal("Send on a closed endpoint must error")
 	}
 }
 
 func TestSendEInvalidDestination(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
-	if err := f.Comms()[0].SendE(5, 0, nil); err == nil {
-		t.Fatal("SendE to an out-of-range rank must error")
+	if err := f.Comms()[0].Send(5, 0, nil); err == nil {
+		t.Fatal("Send to an out-of-range rank must error")
 	}
-	if err := f.Comms()[0].SendE(-1, 0, nil); err == nil {
-		t.Fatal("SendE to a negative rank must error")
+	if err := f.Comms()[0].Send(-1, 0, nil); err == nil {
+		t.Fatal("Send to a negative rank must error")
 	}
 }
 
@@ -50,7 +50,7 @@ func TestRecvTimeoutFires(t *testing.T) {
 func TestRecvTimeoutDeliversPendingMessage(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
-	if err := f.Comms()[1].SendE(0, 7, []byte("hi")); err != nil {
+	if err := f.Comms()[1].Send(0, 7, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	m, err := f.Comms()[0].RecvTimeout(AnySource, 7, time.Second)
@@ -68,7 +68,7 @@ func TestFailWakesBlockedReceive(t *testing.T) {
 	c := f.Comms()[0]
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RecvE(1, 3)
+		_, err := c.Recv(1, 3)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the receive block
@@ -84,8 +84,8 @@ func TestFailWakesBlockedReceive(t *testing.T) {
 		t.Fatal("Fail did not wake the blocked receive")
 	}
 	// Subsequent operations fail immediately.
-	if err := c.SendE(1, 0, nil); err == nil {
-		t.Fatal("SendE on a failed endpoint must error")
+	if err := c.Send(1, 0, nil); err == nil {
+		t.Fatal("Send on a failed endpoint must error")
 	}
 }
 
@@ -100,7 +100,7 @@ func TestHeartbeatDetectsKilledRank(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c := ff.Comms()[r]
-			d := StartDetector(c, 10*time.Millisecond, 150*time.Millisecond)
+			d := StartDetector(c, 10*time.Millisecond, 150*time.Millisecond, InProcView(size).Members, NewSuspicionTable())
 			defer d.Stop()
 			if r == victim {
 				time.Sleep(50 * time.Millisecond)
@@ -110,7 +110,7 @@ func TestHeartbeatDetectsKilledRank(t *testing.T) {
 			// Survivors block in a receive that only the detector's
 			// failure verdict can unwind.
 			start := time.Now()
-			_, err := c.RecvE(victim, 9)
+			_, err := c.Recv(victim, 9)
 			errs[r] = err
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
 				t.Errorf("rank %d took %v to detect the dead peer", r, elapsed)
@@ -144,7 +144,7 @@ func TestKeepaliveSurvivesFailedEndpoint(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Keepalive(c0, 5*time.Millisecond, 100*time.Millisecond)
+		Keepalive(c0, 5*time.Millisecond, 100*time.Millisecond, 1)
 	}()
 	if _, err := f.Comms()[1].RecvTimeout(0, heartbeatTag, time.Second); err != nil {
 		t.Fatalf("no heartbeat from the failed endpoint: %v", err)
@@ -167,7 +167,7 @@ func TestFaultFabricDeterministicLoss(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				buf := []byte{byte(i), byte(i >> 8)}
-				if err := ff.Comms()[0].SendE(1, 5, buf); err != nil {
+				if err := ff.Comms()[0].Send(1, 5, buf); err != nil {
 					t.Errorf("send %d: %v", i, err)
 				}
 			}
@@ -175,10 +175,12 @@ func TestFaultFabricDeterministicLoss(t *testing.T) {
 			// are FIFO per pair; loss is disabled first so the sentinel
 			// itself cannot drop).
 			ff.SetLoss(0, 0)
-			ff.Comms()[0].SendE(1, 5, nil)
+			if err := ff.Comms()[0].Send(1, 5, nil); err != nil {
+				t.Errorf("sentinel: %v", err)
+			}
 		}()
 		for {
-			m, err := ff.Comms()[1].RecvE(0, 5)
+			m, err := ff.Comms()[1].Recv(0, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,11 +223,11 @@ func TestFaultFabricDuplicate(t *testing.T) {
 	ff := NewFaultFabric(2, 1)
 	defer ff.Close()
 	ff.SetLoss(0, 1.0) // every message delivered twice
-	if err := ff.Comms()[0].SendE(1, 3, []byte("dup")); err != nil {
+	if err := ff.Comms()[0].Send(1, 3, []byte("dup")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		m, err := ff.Comms()[1].RecvE(0, 3)
+		m, err := ff.Comms()[1].Recv(0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func TestFaultFabricSever(t *testing.T) {
 	ff.Sever(0, 1)
 	// The send "succeeds" (one-way partition semantics) but nothing
 	// arrives.
-	if err := ff.Comms()[0].SendE(1, 4, []byte("lost")); err != nil {
+	if err := ff.Comms()[0].Send(1, 4, []byte("lost")); err != nil {
 		t.Fatalf("send over a severed link must succeed locally: %v", err)
 	}
 	if _, err := ff.Comms()[1].RecvTimeout(0, 4, 50*time.Millisecond); err != ErrRecvTimeout {
@@ -253,7 +255,7 @@ func TestKilledRankSendsError(t *testing.T) {
 	ff := NewFaultFabric(2, 1)
 	defer ff.Close()
 	ff.Kill(0)
-	if err := ff.Comms()[0].SendE(1, 0, nil); err == nil {
+	if err := ff.Comms()[0].Send(1, 0, nil); err == nil {
 		t.Fatal("send from a killed rank must error")
 	}
 	if got := ff.Killed(); len(got) != 1 || got[0] != 0 {
@@ -281,51 +283,71 @@ func TestDialBackoff(t *testing.T) {
 	}
 }
 
-// TestTruncatedTCPFrame kills a fake peer mid-frame and checks the
-// reader fails the endpoint instead of leaving the receive hung.
+// TestTruncatedTCPFrame feeds a corrupt stream from a fake peer — a
+// frame cut off mid-payload when the peer dies, or a frame claiming
+// another sender — and checks the reader fails the endpoint instead of
+// leaving the receive hung or delivering the frame.
 func TestTruncatedTCPFrame(t *testing.T) {
-	addrs := []string{"127.0.0.1:19721", "127.0.0.1:19722"}
-	type dialed struct {
-		c   *Comm
-		err error
+	cases := []struct {
+		name  string
+		addrs []string
+		src   uint32 // the frame header's claimed sender
+		close bool   // die mid-frame, after 10 of the 100 payload bytes
+	}{
+		{"truncated", []string{"127.0.0.1:19721", "127.0.0.1:19722"}, 0, true},
+		{"foreign source", []string{"127.0.0.1:19723", "127.0.0.1:19724"}, 1, false},
 	}
-	ch := make(chan dialed, 1)
-	go func() {
-		c, err := DialTCP(1, addrs, 5*time.Second)
-		ch <- dialed{c, err}
-	}()
-	// Fake rank 0: complete the hello handshake, then send a frame
-	// header promising 100 payload bytes but deliver only 10.
-	conn, err := dialRetry(addrs[1], 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello [4]byte
-	binary.LittleEndian.PutUint32(hello[:], 0)
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
-	d := <-ch
-	if d.err != nil {
-		t.Fatal(d.err)
-	}
-	defer d.c.Close()
-	var frame [22]byte
-	binary.LittleEndian.PutUint32(frame[0:], 100) // payload length
-	binary.LittleEndian.PutUint32(frame[4:], 0)   // src
-	binary.LittleEndian.PutUint32(frame[8:], 5)   // tag
-	if _, err := conn.Write(frame[:]); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close() // die mid-frame
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type dialed struct {
+				c   *Comm
+				err error
+			}
+			ch := make(chan dialed, 1)
+			go func() {
+				c, err := DialTCP(1, tc.addrs, 5*time.Second)
+				ch <- dialed{c, err}
+			}()
+			// Fake rank 0: complete the hello handshake, then send a
+			// frame header promising 100 payload bytes.
+			conn, err := dialRetry(tc.addrs[1], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var hello [4]byte
+			binary.LittleEndian.PutUint32(hello[:], 0)
+			if _, err := conn.Write(hello[:]); err != nil {
+				t.Fatal(err)
+			}
+			d := <-ch
+			if d.err != nil {
+				t.Fatal(d.err)
+			}
+			defer d.c.Close()
+			frame := make([]byte, 12+100)
+			binary.LittleEndian.PutUint32(frame[0:], 100) // payload length
+			binary.LittleEndian.PutUint32(frame[4:], tc.src)
+			binary.LittleEndian.PutUint32(frame[8:], 5) // tag
+			if tc.close {
+				frame = frame[:12+10]
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if tc.close {
+				conn.Close() // die mid-frame
+			}
 
-	_, rerr := d.c.RecvE(0, 5)
-	var rf *RankFailedError
-	if !errors.As(rerr, &rf) {
-		t.Fatalf("receive after truncated frame returned %v, want RankFailedError", rerr)
-	}
-	if rf.Rank != 0 {
-		t.Fatalf("suspected rank %d, want 0", rf.Rank)
+			_, rerr := d.c.Recv(AnySource, 5)
+			var rf *RankFailedError
+			if !errors.As(rerr, &rf) {
+				t.Fatalf("receive after a corrupt frame returned %v, want RankFailedError", rerr)
+			}
+			if rf.Rank != 0 {
+				t.Fatalf("suspected rank %d, want 0", rf.Rank)
+			}
+		})
 	}
 }
 
@@ -342,4 +364,96 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return nil, err
+}
+
+// TestMalformedPeerMessagesError injects one malformed message per case
+// on a collective's tag or the one-sided tag, from a fake peer, and
+// expects the victim's operation to return an error — never to panic or
+// hang.
+func TestMalformedPeerMessagesError(t *testing.T) {
+	waitPut := func(c *Comm) error {
+		o := NewOneSided(c)
+		defer o.Close()
+		o.Register(0, make([]float64, 4))
+		_, err := o.WaitNotify(1, 1)
+		return err
+	}
+	cases := []struct {
+		name         string
+		size, victim int
+		op           func(c *Comm) error
+		fake         func(c *Comm) // the peer: rank 1 when victim is 0, else rank 0
+	}{
+		{
+			name: "allgather block without owner trailer", size: 2, victim: 0,
+			op: func(c *Comm) error { _, err := c.Allgather([]byte("x")); return err },
+			fake: func(c *Comm) {
+				c.Send(0, c.nextCollTag(), []byte{1, 2})
+			},
+		},
+		{
+			name: "allgather block with a foreign owner", size: 2, victim: 0,
+			op: func(c *Comm) error { _, err := c.Allgather([]byte("x")); return err },
+			fake: func(c *Comm) {
+				c.Send(0, c.nextCollTag(), appendOwner([]byte("y"), 7))
+			},
+		},
+		{
+			name: "ordered allreduce partial with a trailing partial value", size: 2, victim: 0,
+			op: func(c *Comm) error { _, err := c.AllreduceSumOrdered([]float64{1}); return err },
+			fake: func(c *Comm) {
+				c.Allgather([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+			},
+		},
+		{
+			name: "tree allreduce partner sends a short vector", size: 2, victim: 0,
+			op: func(c *Comm) error { _, err := c.AllreduceSumTree([]float64{1, 2}); return err },
+			fake: func(c *Comm) {
+				c.Send(0, c.nextCollTag(), AppendFloat64s(nil, []float64{1}))
+			},
+		},
+		{
+			name: "tree allreduce result to an extra rank is short", size: 3, victim: 2,
+			op: func(c *Comm) error { _, err := c.AllreduceSumTree([]float64{1, 2}); return err },
+			fake: func(c *Comm) {
+				tag := c.nextCollTag()
+				c.Recv(2, tag)
+				c.Send(2, tag, AppendFloat64s(nil, []float64{1}))
+			},
+		},
+		{
+			name: "one-sided put shorter than its header", size: 2, victim: 0,
+			op:   waitPut,
+			fake: func(c *Comm) { c.Send(0, oneSidedTag, []byte{1, 2}) },
+		},
+		{
+			name: "one-sided put past the end of its segment", size: 2, victim: 0,
+			op: waitPut,
+			fake: func(c *Comm) {
+				// A window without a dispatcher: the fake only sends.
+				(&OneSided{c: c}).Put(0, 0, 3, []float64{1, 2}, 1)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFabric(tc.size)
+			defer f.Close()
+			fake := 0
+			if tc.victim == 0 {
+				fake = 1
+			}
+			go tc.fake(f.Comms()[fake])
+			done := make(chan error, 1)
+			go func() { done <- tc.op(f.Comms()[tc.victim]) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("malformed message accepted")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("collective hung on a malformed message")
+			}
+		})
+	}
 }

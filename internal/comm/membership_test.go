@@ -202,7 +202,7 @@ func TestDetectorKeyedByIncarnation(t *testing.T) {
 	{
 		f := NewFabric(2)
 		members := []Member{{Addr: "addr-0", Incarnation: 1}, {Addr: "addr-1", Incarnation: 1}}
-		d := StartDetectorView(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
+		d := StartDetector(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
 		_, err := f.Comms()[0].RecvTimeout(1, 7, time.Second)
 		var rf *RankFailedError
 		if !errors.As(err, &rf) || rf.Rank != 1 {
@@ -222,7 +222,7 @@ func TestDetectorKeyedByIncarnation(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			d := StartDetectorView(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
+			d := StartDetector(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
 			defer d.Stop()
 			_, err := f.Comms()[0].RecvTimeout(1, 7, 3*suspicion)
 			if err != ErrRecvTimeout {
@@ -231,7 +231,7 @@ func TestDetectorKeyedByIncarnation(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			d := StartDetectorView(f.Comms()[1], 10*time.Millisecond, suspicion, members, tab)
+			d := StartDetector(f.Comms()[1], 10*time.Millisecond, suspicion, members, tab)
 			defer d.Stop()
 			time.Sleep(3 * suspicion)
 		}()
@@ -270,11 +270,11 @@ func TestDetectorIgnoresStaleIncarnationBeats(t *testing.T) {
 				return
 			default:
 			}
-			KeepaliveView(f.Comms()[1], 10*time.Millisecond, 20*time.Millisecond, 2)
+			Keepalive(f.Comms()[1], 10*time.Millisecond, 20*time.Millisecond, 2)
 		}
 	}()
 
-	d := StartDetectorView(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
+	d := StartDetector(f.Comms()[0], 10*time.Millisecond, suspicion, members, tab)
 	defer d.Stop()
 	_, err := f.Comms()[0].RecvTimeout(1, 7, 3*suspicion)
 	close(stop)
@@ -285,39 +285,6 @@ func TestDetectorIgnoresStaleIncarnationBeats(t *testing.T) {
 	}
 	if !tab.Convicted("addr-1", 3) {
 		t.Fatal("conviction must be recorded in the suspicion table")
-	}
-}
-
-// TestDetectorAcceptsUnstampedBeats pins compatibility with the plain
-// Keepalive path: a beat with no incarnation payload counts as current.
-func TestDetectorAcceptsUnstampedBeats(t *testing.T) {
-	const suspicion = 150 * time.Millisecond
-	f := NewFabric(2)
-	defer f.Close()
-	members := []Member{{Addr: "addr-0", Incarnation: 1}, {Addr: "addr-1", Incarnation: 3}}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			Keepalive(f.Comms()[1], 10*time.Millisecond, 20*time.Millisecond)
-		}
-	}()
-
-	d := StartDetectorView(f.Comms()[0], 10*time.Millisecond, suspicion, members, NewSuspicionTable())
-	defer d.Stop()
-	_, err := f.Comms()[0].RecvTimeout(1, 7, 3*suspicion)
-	close(stop)
-	wg.Wait()
-	if err != ErrRecvTimeout {
-		t.Fatalf("unstamped beats must keep the peer alive, got %v", err)
 	}
 }
 

@@ -2,8 +2,8 @@ package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -26,6 +26,7 @@ type OneSided struct {
 	cond     *sync.Cond
 	segments map[int][]float64
 	notified map[int]int64 // notification id -> cumulative count
+	err      error         // why the dispatcher stopped; nil while it runs
 	done     chan struct{}
 }
 
@@ -38,6 +39,9 @@ const putHeaderSize = 16
 
 // closeSegment is the sentinel segment id used to stop the dispatcher.
 const closeSegment = -1
+
+// errWindowClosed is the dispatcher's stop reason after Close.
+var errWindowClosed = errors.New("comm: one-sided window closed")
 
 // NewOneSided attaches a one-sided window to the communicator and starts
 // its dispatcher. Attach at most one OneSided per Comm, before any Put
@@ -68,26 +72,43 @@ func (o *OneSided) Register(id int, buf []float64) {
 // Put writes data into segment segID at element offset off on rank dst
 // and increments dst's counter for notifyID (GASPI write+notify).
 // Completion is asynchronous; per-pair ordering is preserved by the
-// transport.
-func (o *OneSided) Put(dst, segID int, off int64, data []float64, notifyID int) {
-	msg := make([]byte, putHeaderSize+8*len(data))
+// transport. Send errors (a failed or closed endpoint) are returned.
+func (o *OneSided) Put(dst, segID int, off int64, data []float64, notifyID int) error {
+	msg := make([]byte, putHeaderSize, putHeaderSize+8*len(data))
 	binary.LittleEndian.PutUint32(msg[0:], uint32(segID))
 	binary.LittleEndian.PutUint64(msg[4:], uint64(off))
 	binary.LittleEndian.PutUint32(msg[12:], uint32(notifyID))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(msg[putHeaderSize+8*i:], math.Float64bits(v))
-	}
-	o.c.Send(dst, oneSidedTag, msg)
+	return o.c.Send(dst, oneSidedTag, AppendFloat64s(msg, data))
 }
 
-// dispatch applies incoming Puts directly to registered memory.
+// dispatch runs the dispatcher loop, then wakes every WaitNotify with
+// the reason it stopped.
 func (o *OneSided) dispatch() {
+	err := o.apply()
+	o.mu.Lock()
+	o.err = err
+	o.cond.Broadcast()
+	o.mu.Unlock()
+	close(o.done)
+}
+
+// apply writes incoming Puts directly into registered memory until the
+// close sentinel arrives or the endpoint fails or closes. A malformed
+// Put fails the endpoint, so the rank's other operations unwind too.
+func (o *OneSided) apply() error {
 	for {
-		m := o.c.Recv(AnySource, oneSidedTag)
+		m, err := o.c.Recv(AnySource, oneSidedTag)
+		if err != nil {
+			return err
+		}
+		if len(m.Data) < putHeaderSize || (len(m.Data)-putHeaderSize)%8 != 0 {
+			err := fmt.Errorf("comm: one-sided Put of %d bytes from rank %d is malformed", len(m.Data), m.Src)
+			o.c.Fail(err)
+			return err
+		}
 		segID := int(int32(binary.LittleEndian.Uint32(m.Data[0:])))
 		if segID == closeSegment {
-			close(o.done)
-			return
+			return errWindowClosed
 		}
 		off := int64(binary.LittleEndian.Uint64(m.Data[4:]))
 		notifyID := int(binary.LittleEndian.Uint32(m.Data[12:]))
@@ -95,19 +116,14 @@ func (o *OneSided) dispatch() {
 		n := int64(len(payload) / 8)
 		o.mu.Lock()
 		seg, ok := o.segments[segID]
-		if !ok {
+		if !ok || off < 0 || off > int64(len(seg))-n {
 			o.mu.Unlock()
-			panic(fmt.Sprintf("comm: one-sided Put into unregistered segment %d", segID))
+			err := fmt.Errorf("comm: one-sided Put from rank %d outside registered memory (segment %d, offset %d, %d values)",
+				m.Src, segID, off, n)
+			o.c.Fail(err)
+			return err
 		}
-		if off < 0 || off+n > int64(len(seg)) {
-			o.mu.Unlock()
-			panic(fmt.Sprintf("comm: one-sided Put out of bounds: off %d n %d seg %d",
-				off, n, len(seg)))
-		}
-		for i := int64(0); i < n; i++ {
-			seg[off+i] = math.Float64frombits(
-				binary.LittleEndian.Uint64(payload[8*i:]))
-		}
+		_ = DecodeFloat64sInto(seg[off:off+n], payload) // lengths checked above
 		o.notified[notifyID]++
 		o.cond.Broadcast()
 		o.mu.Unlock()
@@ -116,14 +132,19 @@ func (o *OneSided) dispatch() {
 
 // WaitNotify blocks until notifyID's cumulative counter reaches at least
 // count and returns its value. Use distinct ids per phase (the engine
-// keys them by iteration and side).
-func (o *OneSided) WaitNotify(notifyID int, count int64) int64 {
+// keys them by iteration and side). It returns an error once the
+// dispatcher has stopped (a failed or closed endpoint, a malformed Put,
+// or Close) with the counter still short.
+func (o *OneSided) WaitNotify(notifyID int, count int64) (int64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for o.notified[notifyID] < count {
+		if o.err != nil {
+			return o.notified[notifyID], o.err
+		}
 		o.cond.Wait()
 	}
-	return o.notified[notifyID]
+	return o.notified[notifyID], nil
 }
 
 // NotifyCount returns notifyID's current counter without blocking.
@@ -134,10 +155,12 @@ func (o *OneSided) NotifyCount(notifyID int) int64 {
 }
 
 // Close stops the dispatcher (via a self-addressed sentinel Put) and
-// waits for it to exit. The underlying Comm stays usable.
+// waits for it to exit. The underlying Comm stays usable. On a failed or
+// closed endpoint the sentinel cannot be sent, but the dispatcher has
+// already exited or is about to.
 func (o *OneSided) Close() {
 	msg := make([]byte, putHeaderSize)
-	binary.LittleEndian.PutUint32(msg[0:], uint32(uint32(0xffffffff))) // segID -1
-	o.c.Send(o.c.Rank(), oneSidedTag, msg)
+	binary.LittleEndian.PutUint32(msg[0:], uint32(0xffffffff)) // segID -1
+	_ = o.c.Send(o.c.Rank(), oneSidedTag, msg)
 	<-o.done
 }

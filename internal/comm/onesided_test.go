@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// put issues a one-sided Put, failing the test on a send error.
+func put(t *testing.T, o *OneSided, dst, segID int, off int64, data []float64, notifyID int) {
+	t.Helper()
+	if err := o.Put(dst, segID, off, data, notifyID); err != nil {
+		t.Errorf("put to rank %d: %v", dst, err)
+	}
+}
+
 func TestOneSidedPutAndNotify(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -17,8 +25,10 @@ func TestOneSidedPutAndNotify(t *testing.T) {
 
 	buf := make([]float64, 10)
 	o1.Register(3, buf)
-	o0.Put(1, 3, 4, []float64{1.5, -2.5, 3.5}, 7)
-	o1.WaitNotify(7, 1)
+	put(t, o0, 1, 3, 4, []float64{1.5, -2.5, 3.5}, 7)
+	if _, err := o1.WaitNotify(7, 1); err != nil {
+		t.Error(err)
+	}
 	if buf[4] != 1.5 || buf[5] != -2.5 || buf[6] != 3.5 {
 		t.Fatalf("payload not applied: %v", buf)
 	}
@@ -51,12 +61,12 @@ func TestOneSidedNotificationCounts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				off := int64(src*10 + i)
-				os[src].Put(0, 1, off, []float64{float64(src)}, 9)
+				put(t, os[src], 0, 1, off, []float64{float64(src)}, 9)
 			}
 		}(src)
 	}
 	wg.Wait()
-	if got := os[0].WaitNotify(9, 10); got != 10 {
+	if got, err := os[0].WaitNotify(9, 10); err != nil || got != 10 {
 		t.Fatalf("notification count %d, want 10", got)
 	}
 	for i := 0; i < 5; i++ {
@@ -73,8 +83,10 @@ func TestOneSidedSelfPut(t *testing.T) {
 	defer o.Close()
 	buf := make([]float64, 4)
 	o.Register(0, buf)
-	o.Put(0, 0, 0, []float64{42}, 1)
-	o.WaitNotify(1, 1)
+	put(t, o, 0, 0, 0, []float64{42}, 1)
+	if _, err := o.WaitNotify(1, 1); err != nil {
+		t.Error(err)
+	}
 	if buf[0] != 42 {
 		t.Fatal("self-put not applied")
 	}
@@ -92,7 +104,7 @@ func TestOneSidedCountWithoutBlocking(t *testing.T) {
 	}
 	buf := make([]float64, 1)
 	o1.Register(0, buf)
-	o0.Put(1, 0, 0, []float64{1}, 5)
+	put(t, o0, 1, 0, 0, []float64{1}, 5)
 	deadline := time.Now().Add(time.Second)
 	for o1.NotifyCount(5) != 1 {
 		if time.Now().After(deadline) {
@@ -132,21 +144,29 @@ func TestOneSidedCoexistsWithTwoSided(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		comms[0].Send(1, 42, []byte("two-sided"))
-		o0.Put(1, 0, 0, []float64{9}, 1)
-		sum := comms[0].AllreduceSumOrdered([]float64{1})
+		send(t, comms[0], 1, 42, []byte("two-sided"))
+		put(t, o0, 1, 0, 0, []float64{9}, 1)
+		sum, err := comms[0].AllreduceSumOrdered([]float64{1})
+		if err != nil {
+			t.Error(err)
+		}
 		if sum[0] != 2 {
 			t.Errorf("allreduce = %v", sum[0])
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		m := comms[1].Recv(0, 42)
+		m := recv(t, comms[1], 0, 42)
 		if string(m.Data) != "two-sided" {
 			t.Errorf("got %q", m.Data)
 		}
-		o1.WaitNotify(1, 1)
-		sum := comms[1].AllreduceSumOrdered([]float64{1})
+		if _, err := o1.WaitNotify(1, 1); err != nil {
+			t.Error(err)
+		}
+		sum, err := comms[1].AllreduceSumOrdered([]float64{1})
+		if err != nil {
+			t.Error(err)
+		}
 		if sum[0] != 2 {
 			t.Errorf("allreduce = %v", sum[0])
 		}
@@ -154,5 +174,29 @@ func TestOneSidedCoexistsWithTwoSided(t *testing.T) {
 	wg.Wait()
 	if buf[0] != 9 {
 		t.Fatal("put lost amid two-sided traffic")
+	}
+}
+
+// TestOneSidedCloseOnClosedEndpoint pins that closing the endpoint stops
+// the dispatcher: the window's Close must return rather than block on a
+// dispatcher still waiting for a sentinel that can no longer be sent.
+func TestOneSidedCloseOnClosedEndpoint(t *testing.T) {
+	f := NewFabric(1)
+	defer f.Close()
+	c := f.Comms()[0]
+	o := NewOneSided(c)
+	c.Close()
+	done := make(chan struct{})
+	go func() {
+		o.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OneSided.Close blocked on a closed endpoint")
+	}
+	if _, err := o.WaitNotify(1, 1); err == nil {
+		t.Fatal("WaitNotify on a stopped window must error")
 	}
 }

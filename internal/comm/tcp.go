@@ -232,6 +232,12 @@ func (t *tcpTransport) reader(peer int) {
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		src := int(binary.LittleEndian.Uint32(hdr[4:]))
 		tag := int(binary.LittleEndian.Uint32(hdr[8:]))
+		if src != peer {
+			// Receivers index per-rank state by Src: a frame claiming
+			// another sender is corrupt.
+			t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("frame claims source rank %d", src)})
+			return
+		}
 		data := make([]byte, n)
 		if got, err := io.ReadFull(conn, data); err != nil {
 			// A frame header without its payload is always a truncation.

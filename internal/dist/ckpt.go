@@ -231,7 +231,7 @@ func (nd *Node) writeCheckpoint(nextIter int) error {
 	// Every fragment must be durable before the manifest can name it: a
 	// crash past this barrier either leaves the previous manifest as the
 	// latest (all its fragments intact) or the new one (ditto).
-	if err := nd.c.BarrierE(); err != nil {
+	if err := nd.c.Barrier(); err != nil {
 		return err
 	}
 	if nd.rank != 0 {

@@ -55,7 +55,8 @@ type Options struct {
 	// Schedule is the locality processing order of the plan's matrix,
 	// restricted per rank to its owned items. nil makes every node build
 	// the default order.Build schedule locally (deterministic in the plan,
-	// so all ranks still agree); RunInProc builds it once and shares it.
+	// so all ranks still agree); MatrixLoader builds it once per rank
+	// count and shares it.
 	// The schedule cannot change the sampled chain — only cache behavior.
 	Schedule *order.Schedule
 
@@ -70,11 +71,11 @@ type Options struct {
 	// SuspicionTimeout, when positive, attaches a heartbeat failure
 	// detector to every rank: a peer silent for longer than this is
 	// declared failed, unwinding blocked receives with a
-	// comm.RankFailedError instead of hanging forever. Incompatible with
-	// OneSided (whose notify waits bypass the error-returning receives).
+	// comm.RankFailedError instead of hanging forever. Not supported
+	// with OneSided: the one-sided exchange has no recovery path.
 	SuspicionTimeout time.Duration
-	// HeartbeatInterval is the detector's heartbeat period; 0 derives it
-	// from SuspicionTimeout (see comm.StartDetector).
+	// HeartbeatInterval is the detector's heartbeat period; 0 lets
+	// comm.StartDetector derive it as SuspicionTimeout/20.
 	HeartbeatInterval time.Duration
 	// OnIteration, when set, is invoked on every rank after each completed
 	// iteration (all phases, evaluation, and any due checkpoint). It is a
@@ -85,13 +86,14 @@ type Options struct {
 	// Epoch is the membership epoch this round runs under (0 for
 	// non-elastic runs; informational).
 	Epoch int
-	// Members names each rank's (address, incarnation) identity. Set
-	// together with Suspicions, it keys the failure detector by identity
-	// so a rejoined incarnation at a convicted address gets a fresh
-	// suspicion window instead of an instant re-conviction.
+	// Members names each rank's (address, incarnation) identity, which
+	// keys the failure detector so a rejoined incarnation at a convicted
+	// address gets a fresh suspicion window instead of an instant
+	// re-conviction. nil stands for comm.InProcView(Ranks).Members.
 	Members []comm.Member
 	// Suspicions carries convicted incarnations across the rounds of an
-	// elastic run (shared by every round's detector).
+	// elastic run (shared by every round's detector); nil gives the
+	// detector a fresh table.
 	Suspicions *comm.SuspicionTable
 	// Membership, when set, gates the drain barrier: whenever it holds
 	// pending join requests (and the iteration has reached GrowAtIter),

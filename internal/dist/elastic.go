@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -36,119 +35,30 @@ import (
 // shrinking all ride the identical resume path.
 
 // DefaultSuspicionTimeout is the failure-detector timeout the elastic
-// drivers fall back to when Options.SuspicionTimeout is unset.
+// driver falls back to when Options.SuspicionTimeout is unset.
 const DefaultSuspicionTimeout = 2 * time.Second
 
-// FaultHook lets a caller (typically a test) inject faults into one
-// recovery round: it runs before the round's nodes start, with the
-// round's fabric — install Options.OnIteration kills through opt, sever
-// links, etc. Round 0 is the initial run.
-type FaultHook func(round int, fb *comm.FaultFabric, opt *Options)
-
-// MembershipHook is FaultHook for the membership driver: it also sees
-// the round's sealed view and the coordinator state machine, so tests
-// can file join requests (mem.RequestJoin from an OnIteration seam) and
-// assert epochs, on top of injecting faults.
-type MembershipHook func(round int, view comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership)
-
-// rankBody runs one rank of one round.
-type rankBody func(r int, c *comm.Comm) (*core.Result, *Stats, error)
+// RoundHook lets a caller (typically a test) inject faults and
+// membership events into one round of RunInProcElastic: it runs before
+// the round's nodes start, with the round's sealed view, its fabric and
+// the coordinator's state machine — install Options.OnIteration kills
+// or join requests (mem.RequestJoin) through opt, sever links, etc.
+// Round 0 is the initial run.
+type RoundHook func(round int, view comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership)
 
 // RunInProcElastic executes a distributed run as a virtual in-process
-// cluster that survives injected rank failures: every round runs on a
-// fresh FaultFabric; when ranks are killed, the next round resumes from
-// the latest checkpoint manifest with the surviving rank count.
-// Requires checkpointing to be configured. Returns the final result,
-// the last round's per-rank stats, and the rank count that finished.
-func RunInProcElastic(cfg core.Config, prob *core.Problem, opt Options, hook FaultHook) (*core.Result, []Stats, int, error) {
-	res, stats, view, err := RunInProcMembership(cfg, prob, opt, liftFaultHook(hook))
-	return res, stats, len(view.Members), err
-}
-
-// RunInProcMembership is the full elastic driver: RunInProcElastic plus
-// membership — the hook can file join requests, and the cluster then
-// drains, seals the grown view, and resumes with more ranks. Returns
-// the final sealed view alongside the result.
-func RunInProcMembership(cfg core.Config, prob *core.Problem, opt Options, hook MembershipHook) (*core.Result, []Stats, comm.View, error) {
-	return runViewRounds(cfg, opt, hook, func(ropt Options, man *Manifest) (rankBody, error) {
-		plan, test := BuildPlan(prob, ropt)
-		var base *core.Checkpoint
-		if man != nil {
-			var err error
-			if base, err = LoadDistCheckpoint(ropt.CheckpointDir, man, test); err != nil {
-				return nil, err
-			}
-		}
-		return func(r int, c *comm.Comm) (*core.Result, *Stats, error) {
-			node, err := NewNode(c, cfg, plan, test, ropt)
-			if err != nil {
-				return nil, nil, err
-			}
-			if base != nil {
-				if err := node.Resume(base); err != nil {
-					return nil, nil, err
-				}
-			}
-			return node.Run()
-		}, nil
-	})
-}
-
-// RunInProcElasticShards is RunInProcElastic over the shard-native data
-// plane: every round each rank re-runs the collective shard load —
-// partition.AssignPanels over the *current* rank count — so shards are
-// remapped whenever the view changes (a dead rank's shards move to
-// survivors; an admitted rank takes its share). Each rank reassembles
-// the checkpoint from the fragment files itself (shared storage in a
-// real cluster).
-func RunInProcElasticShards(cfg core.Config, path string, testFrac float64, opt Options, hook FaultHook) (*core.Result, []Stats, int, error) {
-	res, stats, view, err := RunInProcMembershipShards(cfg, path, testFrac, opt, liftFaultHook(hook))
-	return res, stats, len(view.Members), err
-}
-
-// RunInProcMembershipShards is RunInProcMembership over the shard-native
-// data plane.
-func RunInProcMembershipShards(cfg core.Config, path string, testFrac float64, opt Options, hook MembershipHook) (*core.Result, []Stats, comm.View, error) {
-	return runViewRounds(cfg, opt, hook, func(ropt Options, man *Manifest) (rankBody, error) {
-		return func(r int, c *comm.Comm) (*core.Result, *Stats, error) {
-			sp, err := LoadShardsLocal(c, path, testFrac, cfg.Seed, ropt)
-			if err != nil {
-				return nil, nil, err
-			}
-			node, err := NewNodeLocal(c, cfg, sp.Plan, sp.RT, sp.Test, ropt)
-			if err != nil {
-				return nil, nil, err
-			}
-			if man != nil {
-				base, err := LoadDistCheckpoint(ropt.CheckpointDir, man, sp.Test)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := node.Resume(base); err != nil {
-					return nil, nil, err
-				}
-			}
-			return node.Run()
-		}, nil
-	})
-}
-
-// liftFaultHook adapts the membership-unaware hook signature.
-func liftFaultHook(hook FaultHook) MembershipHook {
-	if hook == nil {
-		return nil
-	}
-	return func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, _ *comm.Membership) {
-		hook(round, fb, opt)
-	}
-}
-
-// runViewRounds is the round loop shared by the full-data and
-// shard-native drivers. prepare builds one round's per-rank body from
-// the round's options and the manifest to resume from (nil on a fresh
-// start).
-func runViewRounds(cfg core.Config, opt Options, hook MembershipHook,
-	prepare func(ropt Options, man *Manifest) (rankBody, error)) (*core.Result, []Stats, comm.View, error) {
+// cluster whose ranks load through load and which survives injected
+// rank failures and admits joiners: every round runs one sealed view on
+// a fresh FaultFabric. When ranks are killed, the next round resumes
+// from the latest checkpoint manifest with the survivors; when the hook
+// files join requests, the cluster drains, seals the grown view, and
+// resumes with more ranks. Every round re-runs the loader over the
+// round's rank count, so a shard-native cluster remaps shards whenever
+// the view changes (a dead rank's shards move to survivors; an admitted
+// rank takes its share). Requires checkpointing to be configured.
+// Returns the final result, the last round's per-rank stats, and the
+// final sealed view.
+func RunInProcElastic(cfg core.Config, load Loader, opt Options, hook RoundHook) (*core.Result, []Stats, comm.View, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, comm.View{}, err
@@ -170,7 +80,6 @@ func runViewRounds(cfg core.Config, opt Options, hook MembershipHook,
 		ranks := len(view.Members)
 		ropt := opt
 		ropt.Ranks = ranks
-		ropt.Schedule = nil // rebuilt per rank from the round's plan
 		ropt.Epoch = view.Epoch
 		ropt.Members = view.Members
 		ropt.Suspicions = table
@@ -185,14 +94,7 @@ func runViewRounds(cfg core.Config, opt Options, hook MembershipHook,
 		if hook != nil {
 			hook(round, view, fb, &ropt, mem)
 		}
-		body, err := prepare(ropt, man)
-		if err != nil {
-			fb.Close()
-			return nil, nil, view, err
-		}
-		results, stats, errs := runRanks(ranks, func(r int) (*core.Result, *Stats, error) {
-			return body(r, fb.Comms()[r])
-		})
+		results, stats, errs := runRanks(fb.Comms(), cfg, load, ropt, man)
 		fb.Close()
 
 		firstErr := firstError(errs)
@@ -243,96 +145,4 @@ func allViewChange(errs []error) *ViewChange {
 		}
 	}
 	return first
-}
-
-// ResumeInProc is the clean-restart reference for the elastic driver: a
-// fresh in-process cluster of opt.Ranks nodes started from a reassembled
-// global checkpoint, with no faults. The differential tests pin the
-// recovered (or grown) chain bit-identical to this.
-func ResumeInProc(cfg core.Config, prob *core.Problem, base *core.Checkpoint, opt Options) (*core.Result, []Stats, error) {
-	opt = opt.normalized()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	plan, test := BuildPlan(prob, opt)
-	fab := comm.NewFabric(opt.Ranks)
-	defer fab.Close()
-	results, stats, errs := runRanks(opt.Ranks, func(r int) (*core.Result, *Stats, error) {
-		node, err := NewNode(fab.Comms()[r], cfg, plan, test, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := node.Resume(base); err != nil {
-			return nil, nil, err
-		}
-		return node.Run()
-	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return results[0], stats, nil
-}
-
-// ResumeInProcShards is the clean-restart reference of the shard-native
-// elastic driver.
-func ResumeInProcShards(cfg core.Config, path string, testFrac float64, man *Manifest, ckptDir string, opt Options) (*core.Result, []Stats, error) {
-	opt = opt.normalized()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	fab := comm.NewFabric(opt.Ranks)
-	defer fab.Close()
-	results, stats, errs := runRanks(opt.Ranks, func(r int) (*core.Result, *Stats, error) {
-		sp, err := LoadShardsLocal(fab.Comms()[r], path, testFrac, cfg.Seed, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		node, err := NewNodeLocal(fab.Comms()[r], cfg, sp.Plan, sp.RT, sp.Test, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		base, err := LoadDistCheckpoint(ckptDir, man, sp.Test)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := node.Resume(base); err != nil {
-			return nil, nil, err
-		}
-		return node.Run()
-	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return results[0], stats, nil
-}
-
-// runRanks runs one round's rank bodies on their own goroutines and
-// collects (result, stats, error) per rank.
-func runRanks(ranks int, body func(r int) (*core.Result, *Stats, error)) ([]*core.Result, []Stats, []error) {
-	results := make([]*core.Result, ranks)
-	stats := make([]Stats, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			res, st, err := body(r)
-			results[r], errs[r] = res, err
-			if st != nil {
-				stats[r] = *st
-			}
-		}(r)
-	}
-	wg.Wait()
-	return results, stats, errs
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/la"
+	"repro/internal/sparse"
 )
 
 // elastic_test.go pins the fault-tolerance contract: a cluster that
@@ -17,6 +18,17 @@ import (
 // to a clean restart of a survivor-sized cluster from that same
 // checkpoint (and to the sequential sampler resumed with the survivor
 // partition's moment groups).
+
+// openShards maps a .bcsr file for the duration of the test.
+func openShards(t *testing.T, path string) *sparse.Mapped {
+	t.Helper()
+	mp, err := sparse.OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mp.Close() })
+	return mp
+}
 
 // readManifest loads one specific sealed manifest (LatestManifest would
 // find the post-recovery rounds' newer ones).
@@ -29,10 +41,10 @@ func readManifest(t *testing.T, dir string, iter int) *Manifest {
 	return m
 }
 
-// killAtHook returns a FaultHook that kills the given ranks right after
+// killAtHook returns a RoundHook that kills the given ranks right after
 // they complete iteration killIter of round 0.
-func killAtHook(killIter int, victims []int) FaultHook {
-	return func(round int, fb *comm.FaultFabric, opt *Options) {
+func killAtHook(killIter int, victims []int) RoundHook {
+	return func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, _ *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return
@@ -74,12 +86,12 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 				CheckpointDir: dir, CheckpointEvery: 2,
 				SuspicionTimeout: 400 * time.Millisecond,
 			}
-			got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, killAtHook(tc.killIter, tc.victims))
+			got, _, view, err := RunInProcElastic(cfg, MatrixLoader(prob, nil), opt, killAtHook(tc.killIter, tc.victims))
 			if err != nil {
 				t.Fatal(err)
 			}
 			survivors := tc.ranks - len(tc.victims)
-			if finalRanks != survivors {
+			if finalRanks := len(view.Members); finalRanks != survivors {
 				t.Fatalf("finished with %d ranks, want %d", finalRanks, survivors)
 			}
 
@@ -90,12 +102,8 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 			if man.Ranks != tc.ranks {
 				t.Fatalf("manifest written by %d ranks, want %d", man.Ranks, tc.ranks)
 			}
-			base, err := LoadDistCheckpoint(dir, man, prob.Test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refOpt := Options{Ranks: survivors, ThreadsPerRank: tc.threads}
-			want, _, err := ResumeInProc(cfg, prob, base, refOpt)
+			refOpt := Options{Ranks: survivors, ThreadsPerRank: tc.threads, CheckpointDir: dir}
+			want, _, err := ResumeInProc(cfg, MatrixLoader(prob, nil), man, refOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +141,11 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 		Ranks: 4, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunInProcElastic(cfg, MatrixLoader(prob, nil), opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalRanks != 3 {
+	if finalRanks := len(view.Members); finalRanks != 3 {
 		t.Fatalf("finished with %d ranks, want 3", finalRanks)
 	}
 
@@ -173,31 +181,50 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 }
 
 // TestElasticFreshRunMatchesRunInProc pins that checkpointing and the
-// failure detector are chain-inert: an elastic run with no faults is
-// bit-identical to the plain engine.
+// failure detector are chain-inert on both data planes: an elastic run
+// with no faults is bit-identical to the plain engine over the same
+// loader.
 func TestElasticFreshRunMatchesRunInProc(t *testing.T) {
-	prob := problem(t, 13)
 	cfg := testConfig()
-	want, _, err := RunInProc(cfg, prob, Options{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) (Loader, *core.Result)
+	}{
+		{"whole-matrix", func(t *testing.T) (Loader, *core.Result) {
+			prob := problem(t, 13)
+			want, _, err := RunInProc(cfg, prob, Options{Ranks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return MatrixLoader(prob, nil), want
+		}},
+		{"shard-native", func(t *testing.T) (Loader, *core.Result) {
+			path, _ := writeShardedFile(t, 13, 400)
+			want, _ := runShardNative(t, cfg, path, 0.2, cfg.Seed, Options{Ranks: 2})
+			return ShardLoader(openShards(t, path), 0.2, nil), want
+		}},
 	}
-	opt := Options{
-		Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
-		SuspicionTimeout: time.Second,
-	}
-	got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finalRanks != 2 {
-		t.Fatalf("finished with %d ranks, want 2", finalRanks)
-	}
-	if la.MaxAbsDiff(got.U, want.U) != 0 || la.MaxAbsDiff(got.V, want.V) != 0 {
-		t.Fatal("elastic fresh run differs from RunInProc")
-	}
-	if got.KernelCounts != want.KernelCounts {
-		t.Fatalf("kernel counts %v != %v", got.KernelCounts, want.KernelCounts)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			load, want := tc.setup(t)
+			opt := Options{
+				Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
+				SuspicionTimeout: time.Second,
+			}
+			got, _, view, err := RunInProcElastic(cfg, load, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if finalRanks := len(view.Members); finalRanks != 2 {
+				t.Fatalf("finished with %d ranks, want 2", finalRanks)
+			}
+			if la.MaxAbsDiff(got.U, want.U) != 0 || la.MaxAbsDiff(got.V, want.V) != 0 {
+				t.Fatal("elastic fresh run differs from RunInProc")
+			}
+			if got.KernelCounts != want.KernelCounts {
+				t.Fatalf("kernel counts %v != %v", got.KernelCounts, want.KernelCounts)
+			}
+		})
 	}
 }
 
@@ -215,11 +242,11 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 		Ranks: 3, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, finalRanks, err := RunInProcElasticShards(cfg, path, 0.2, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunInProcElastic(cfg, ShardLoader(openShards(t, path), 0.2, nil), opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalRanks != 2 {
+	if finalRanks := len(view.Members); finalRanks != 2 {
 		t.Fatalf("finished with %d ranks, want 2", finalRanks)
 	}
 
@@ -227,7 +254,7 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 	if man.Ranks != 3 {
 		t.Fatalf("manifest written by %d ranks, want 3", man.Ranks)
 	}
-	want, _, err := ResumeInProcShards(cfg, path, 0.2, man, dir, Options{Ranks: 2})
+	want, _, err := ResumeInProc(cfg, ShardLoader(openShards(t, path), 0.2, nil), man, Options{Ranks: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,18 +286,15 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	if man == nil || man.Iter != 4 {
 		t.Fatalf("latest manifest %+v, want iter 4", man)
 	}
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refOpt := Options{Ranks: 2, CheckpointDir: dir}
 	badCfg := cfg
 	badCfg.Seed = cfg.Seed + 1
-	if _, _, err := ResumeInProc(badCfg, prob, base, Options{Ranks: 2}); err == nil {
+	if _, _, err := ResumeInProc(badCfg, MatrixLoader(prob, nil), man, refOpt); err == nil {
 		t.Fatal("resume with a different seed must fail")
 	}
 	badCfg = cfg
 	badCfg.K = cfg.K + 1
-	if _, _, err := ResumeInProc(badCfg, prob, base, Options{Ranks: 2}); err == nil {
+	if _, _, err := ResumeInProc(badCfg, MatrixLoader(prob, nil), man, refOpt); err == nil {
 		t.Fatal("resume with a different K must fail")
 	}
 }

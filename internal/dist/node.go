@@ -98,7 +98,7 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, test []sparse.
 // NewNodeLocal builds a rank from shard-native per-rank data: plan.R
 // holds only this rank's owned rows (all other rows empty, full-size
 // row pointers) and rt only its owned columns with their complete
-// rater lists — exactly what LoadShardsLocal assembles from a rank's
+// rater lists — exactly what LoadShards assembles from a rank's
 // own .bcsr shards plus the column-ghost exchange. test must still be
 // the global test set (routing and interval gathering need every
 // rank's test identities). The sampled chain is bit-identical to a
@@ -148,7 +148,7 @@ func newNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 	nd.buildRouting()
 
 	// Locality schedule over the owned ranges: opt.Schedule if the launcher
-	// built one (RunInProc shares a single build across ranks), else built
+	// built one (MatrixLoader shares a single build across ranks), else built
 	// locally — Build is deterministic in plan.R, so either way every rank
 	// walks the same global order restricted to its own items. A supplied
 	// schedule must be a permutation of the plan's index space: a stale or
@@ -304,13 +304,13 @@ func itemTag(iter int, side core.Side) int {
 }
 
 // allreduce sums per-rank float64 vectors with the configured reduction.
-// It returns an error instead of panicking when a peer fails mid-
-// reduction, so the run can unwind to the recovery driver.
+// A peer failing mid-reduction surfaces as an error, so the run can
+// unwind to the recovery driver.
 func (nd *Node) allreduce(v []float64) ([]float64, error) {
 	if nd.opt.TreeAllreduce {
-		return nd.c.AllreduceSumTreeE(v)
+		return nd.c.AllreduceSumTree(v)
 	}
-	return nd.c.AllreduceSumOrderedE(v)
+	return nd.c.AllreduceSumOrdered(v)
 }
 
 // sampleHyper draws one side's hyperparameters from the globally reduced
@@ -389,13 +389,13 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		row := self.Row(item)
 		if nd.opt.OneSided {
 			for _, dst := range dests {
-				nd.win.Put(int(dst), seg, int64(item*nd.k), row, tag)
+				if err := nd.win.Put(int(dst), seg, int64(item*nd.k), row, tag); err != nil {
+					return err
+				}
 			}
 		} else {
-			binary.LittleEndian.PutUint32(nd.recBuf, uint32(item))
-			for i, x := range row {
-				binary.LittleEndian.PutUint64(nd.recBuf[4+8*i:], math.Float64bits(x))
-			}
+			// Ghost record: u32 item id, then the row's K float64s.
+			nd.recBuf = comm.AppendFloat64s(binary.LittleEndian.AppendUint32(nd.recBuf[:0], uint32(item)), row)
 			for _, dst := range dests {
 				if err := coals[dst].Append(nd.recBuf); err != nil {
 					return err
@@ -463,7 +463,7 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 	var err error
 	if nd.opt.OneSided {
 		if exp > 0 {
-			nd.win.WaitNotify(tag, int64(exp))
+			_, err = nd.win.WaitNotify(tag, int64(exp))
 		}
 		nd.stats.GhostsRecv += int64(exp)
 	} else {
@@ -488,20 +488,27 @@ func (nd *Node) flushAll(coals []*comm.Coalescer) error {
 
 // recvGhosts applies coalesced item records to the local replica until the
 // expected count of the phase has arrived. A dead peer unwinds the wait
-// with its RankFailedError instead of blocking forever.
+// with its RankFailedError instead of blocking forever, and a malformed
+// message (a partial record, a row outside the matrix) with an error.
 func (nd *Node) recvGhosts(tag, expected int, dst *la.Matrix) error {
 	recSize := 4 + 8*nd.k
 	got := 0
 	for got < expected {
-		m, err := nd.c.RecvE(comm.AnySource, tag)
+		m, err := nd.c.Recv(comm.AnySource, tag)
 		if err != nil {
 			return err
 		}
-		for off := 0; off+recSize <= len(m.Data); off += recSize {
-			idx := int(binary.LittleEndian.Uint32(m.Data[off:]))
-			row := dst.Row(idx)
-			for i := range row {
-				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.Data[off+4+8*i:]))
+		if len(m.Data)%recSize != 0 {
+			return fmt.Errorf("dist: ghost message of %d bytes from rank %d is not a whole number of %d-byte records",
+				len(m.Data), m.Src, recSize)
+		}
+		for off := 0; off < len(m.Data); off += recSize {
+			idx := binary.LittleEndian.Uint32(m.Data[off:])
+			if int64(idx) >= int64(dst.Rows) {
+				return fmt.Errorf("dist: ghost row %d from rank %d is outside [0,%d)", idx, m.Src, dst.Rows)
+			}
+			if err := comm.DecodeFloat64sInto(dst.Row(int(idx)), m.Data[off+4:off+recSize]); err != nil {
+				return err
 			}
 			got++
 		}
@@ -559,13 +566,14 @@ func (nd *Node) evaluate(iter int) error {
 // broadcasts its owned row range (rows nobody rated were never ghosted).
 func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 	lo, hi := bounds[nd.rank], bounds[nd.rank+1]
-	mine := encodeFloats(x.Data[lo*nd.k : hi*nd.k])
-	blobs, err := nd.c.AllgatherE(mine)
+	blobs, err := nd.c.Allgather(comm.AppendFloat64s(nil, x.Data[lo*nd.k:hi*nd.k]))
 	if err != nil {
 		return err
 	}
 	for r, b := range blobs {
-		decodeFloatsInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b)
+		if err := comm.DecodeFloat64sInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b); err != nil {
+			return fmt.Errorf("dist: rows of rank %d: %w", r, err)
+		}
 	}
 	return nil
 }
@@ -574,14 +582,16 @@ func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 // test order from the per-rank predictors.
 func (nd *Node) gatherIntervals() ([]core.Interval, error) {
 	local := nd.pred.Intervals()
-	blobs, err := nd.c.AllgatherE(encodeIntervals(local))
+	blobs, err := nd.c.Allgather(encodeIntervals(local))
 	if err != nil {
 		return nil, err
 	}
 	queues := make([][]core.Interval, nd.ranks)
 	total := 0
 	for r, b := range blobs {
-		queues[r] = decodeIntervals(b)
+		if queues[r], err = decodeIntervals(b); err != nil {
+			return nil, fmt.Errorf("dist: intervals of rank %d: %w", r, err)
+		}
 		total += len(queues[r])
 	}
 	if total == 0 {
@@ -607,7 +617,7 @@ func (nd *Node) gatherIntervals() ([]core.Interval, error) {
 func (nd *Node) Run() (*core.Result, *Stats, error) {
 	if nd.opt.OneSided {
 		if nd.opt.SuspicionTimeout > 0 {
-			return nil, nil, fmt.Errorf("dist: failure detection is incompatible with -onesided (notify waits bypass the error-returning receives)")
+			return nil, nil, fmt.Errorf("dist: failure detection is not supported with the one-sided exchange, which has no recovery path")
 		}
 		nd.win = comm.NewOneSided(nd.c)
 		nd.win.Register(segU, nd.u.Data)
@@ -615,7 +625,14 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 		defer nd.win.Close()
 	}
 	if nd.opt.SuspicionTimeout > 0 {
-		det := comm.StartDetectorView(nd.c, nd.opt.HeartbeatInterval, nd.opt.SuspicionTimeout, nd.opt.Members, nd.opt.Suspicions)
+		members, table := nd.opt.Members, nd.opt.Suspicions
+		if members == nil {
+			members = comm.InProcView(nd.ranks).Members
+		}
+		if table == nil {
+			table = comm.NewSuspicionTable()
+		}
+		det := comm.StartDetector(nd.c, nd.opt.HeartbeatInterval, nd.opt.SuspicionTimeout, members, table)
 		defer det.Stop()
 	}
 	if nd.opt.ThreadsPerRank > 1 {
@@ -755,7 +772,7 @@ func (nd *Node) exchangeView() (comm.View, error) {
 		}
 		blob = b
 	}
-	out, err := nd.c.BcastE(0, blob)
+	out, err := nd.c.Bcast(0, blob)
 	if err != nil {
 		return comm.View{}, err
 	}

@@ -39,52 +39,26 @@ func writeShardedFile(t *testing.T, seed uint64, shardNNZ int) (path string, ful
 
 // runFullLoad runs a virtual cluster where every rank holds the whole
 // matrix, under the panel-aligned plan (the .bcsr full-load path).
-func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) (*core.Result, *partition.Plan, []sparse.Entry) {
+func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
 	t.Helper()
-	opt = opt.normalized()
-	mp, err := sparse.OpenBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
+	mp := openShards(t, path)
 	fullR, err := mp.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	train, test := sparse.SplitTrainTest(fullR, testFrac, seed)
-	prob := core.NewProblem(train, test)
-	plan, planTest, err := BuildPlanPanels(prob, partition.PanelsOf(mp), opt)
+	panels := partition.PanelsOf(mp)
+	res, _, err := ResumeInProc(cfg, MatrixLoader(core.NewProblem(train, test), &panels), nil, opt)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("full-load run: %v", err)
 	}
-	fab := comm.NewFabric(opt.Ranks)
-	defer fab.Close()
-	results := make([]*core.Result, opt.Ranks)
-	errs := make([]error, opt.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < opt.Ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			node, err := NewNode(fab.Comms()[r], cfg, plan, planTest, opt)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			results[r], _, errs[r] = node.Run()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("full-load rank %d: %v", r, err)
-		}
-	}
-	return results[0], plan, planTest
+	return res
 }
 
-// runShardNative runs the virtual cluster through LoadShardsLocal +
-// NewNodeLocal and returns rank 0's result plus each rank's problem.
+// runShardNative runs the virtual cluster through LoadShards +
+// NewNodeLocal, each rank over its own mapping of the file (so the touch
+// counters are per rank), and returns rank 0's result plus each rank's
+// problem.
 func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) (*core.Result, []*ShardProblem) {
 	t.Helper()
 	opt = opt.normalized()
@@ -99,7 +73,13 @@ func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64
 		go func(r int) {
 			defer wg.Done()
 			c := fab.Comms()[r]
-			sp, err := LoadShardsLocal(c, path, testFrac, seed, opt)
+			mp, err := sparse.OpenBinary(path)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer mp.Close()
+			sp, err := LoadShards(c, mp, testFrac, seed, opt)
 			if err != nil {
 				errs[r] = err
 				return
@@ -127,7 +107,7 @@ func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
 	cfg := testConfig()
 	for _, ranks := range []int{1, 2, 4} {
 		opt := Options{Ranks: ranks}
-		want, _, _ := runFullLoad(t, cfg, path, 0.2, 17, opt)
+		want := runFullLoad(t, cfg, path, 0.2, 17, opt)
 		got, _ := runShardNative(t, cfg, path, 0.2, 17, opt)
 
 		if len(got.SampleRMSE) != len(want.SampleRMSE) {
@@ -254,12 +234,13 @@ func TestShardNativeThreadedRanksBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadShardsLocalRejectsReorder: reordering needs the full matrix.
+// TestLoadShardsLocalRejectsReorder: the shard-native LoadShards rejects
+// reordering, which needs the full matrix.
 func TestLoadShardsLocalRejectsReorder(t *testing.T) {
 	path, _ := writeShardedFile(t, 31, 500)
 	fab := comm.NewFabric(1)
 	defer fab.Close()
-	if _, err := LoadShardsLocal(fab.Comms()[0], path, 0.2, 31, Options{Ranks: 1, Reorder: true}); err == nil {
+	if _, err := LoadShards(fab.Comms()[0], openShards(t, path), 0.2, 31, Options{Ranks: 1, Reorder: true}); err == nil {
 		t.Fatal("reorder accepted by the shard-native loader")
 	}
 }

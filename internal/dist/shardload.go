@@ -70,17 +70,6 @@ type ShardProblem struct {
 	Load                sparse.MappedStats
 }
 
-// LoadShardsLocal opens path and loads rank c.Rank()'s slice of the
-// sharded .bcsr rating file (see LoadShards).
-func LoadShardsLocal(c *comm.Comm, path string, testFrac float64, seed uint64, opt Options) (*ShardProblem, error) {
-	mp, err := sparse.OpenBinary(path)
-	if err != nil {
-		return nil, err
-	}
-	defer mp.Close()
-	return LoadShards(c, mp, testFrac, seed, opt)
-}
-
 // LoadShards loads rank c.Rank()'s slice of an already-opened sharded
 // .bcsr rating file, exchanging split state, column degrees, the test
 // set and column ghosts with the other ranks. Every rank must call it
@@ -126,7 +115,7 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	// our panel, forward the cursor.
 	st := sparse.NewSplitState(n)
 	if rank > 0 {
-		msg, err := c.RecvE(rank-1, splitStateTag)
+		msg, err := c.Recv(rank-1, splitStateTag)
 		if err != nil {
 			return nil, fmt.Errorf("dist: rank %d awaiting split state: %w", rank, err)
 		}
@@ -146,7 +135,7 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 		},
 		func(e sparse.Entry) { localTest = append(localTest, e) })
 	if rank+1 < ranks {
-		if err := c.SendE(rank+1, splitStateTag, st.Encode()); err != nil {
+		if err := c.Send(rank+1, splitStateTag, st.Encode()); err != nil {
 			return nil, fmt.Errorf("dist: rank %d forwarding split state: %w", rank, err)
 		}
 	}
@@ -156,19 +145,23 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	train := &sparse.CSR{M: m, N: n, RowPtr: trainPtr, Col: trainCol, Val: trainVal}
 
 	// (3) Global test set and column bounds.
-	blobs, err := c.AllgatherE(encodeEntries(localTest))
+	blobs, err := c.Allgather(encodeEntries(localTest))
 	if err != nil {
 		return nil, fmt.Errorf("dist: gathering test set: %w", err)
 	}
 	var test []sparse.Entry
 	for q := 0; q < ranks; q++ {
-		test = append(test, decodeEntries(blobs[q])...)
+		es, err := decodeEntries(blobs[q])
+		if err != nil {
+			return nil, fmt.Errorf("dist: test set of rank %d: %w", q, err)
+		}
+		test = append(test, es...)
 	}
 	colDeg := make([]float64, n)
 	for _, j := range trainCol {
 		colDeg[j]++
 	}
-	colDegTot, err := c.AllreduceSumOrderedE(colDeg)
+	colDegTot, err := c.AllreduceSumOrdered(colDeg)
 	if err != nil {
 		return nil, fmt.Errorf("dist: reducing column degrees: %w", err)
 	}
@@ -194,18 +187,20 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	}
 	for dst := 0; dst < ranks; dst++ {
 		if dst != rank {
-			if err := c.SendE(dst, colGhostTag, bufs[dst]); err != nil {
+			if err := c.Send(dst, colGhostTag, bufs[dst]); err != nil {
 				return nil, fmt.Errorf("dist: sending column ghosts: %w", err)
 			}
 		}
 	}
 	ghosts := make([][]sparse.Entry, ranks)
 	for q := 0; q < ranks-1; q++ {
-		msg, err := c.RecvE(comm.AnySource, colGhostTag)
+		msg, err := c.Recv(comm.AnySource, colGhostTag)
 		if err != nil {
 			return nil, fmt.Errorf("dist: receiving column ghosts: %w", err)
 		}
-		ghosts[msg.Src] = decodeEntries(msg.Data)
+		if ghosts[msg.Src], err = decodeEntries(msg.Data); err != nil {
+			return nil, fmt.Errorf("dist: column ghosts of rank %d: %w", msg.Src, err)
+		}
 	}
 
 	// Reassemble the owned columns of the train transpose. Sources are
@@ -278,14 +273,17 @@ func appendEntry(b []byte, row, col int32, val float64) []byte {
 	return append(b, rec[:]...)
 }
 
-func decodeEntries(b []byte) []sparse.Entry {
+func decodeEntries(b []byte) ([]sparse.Entry, error) {
+	if len(b)%16 != 0 {
+		return nil, fmt.Errorf("entry payload of %d bytes is not a whole number of 16-byte records", len(b))
+	}
 	es := make([]sparse.Entry, 0, len(b)/16)
-	for off := 0; off+16 <= len(b); off += 16 {
+	for off := 0; off < len(b); off += 16 {
 		es = append(es, sparse.Entry{
 			Row: int32(binary.LittleEndian.Uint32(b[off:])),
 			Col: int32(binary.LittleEndian.Uint32(b[off+4:])),
 			Val: math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:])),
 		})
 	}
-	return es
+	return es, nil
 }
