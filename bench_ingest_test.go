@@ -116,7 +116,7 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stats, err := sparse.Converter{TmpDir: dir}.Convert(mmPath, filepath.Join(dir, "out.bcsr"))
+			stats, err := sparse.Converter{}.Convert(mmPath, filepath.Join(dir, "out.bcsr"))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,10 +1,9 @@
 // Shard-native loading benchmarks (the pr5-shardload series of
-// BENCH_kernels.json): the full-decode baselines (ReadBinary and the
-// mapped reader decoding everything) against what a distributed rank
-// actually pays — mapping the file and decoding only the quarter of
-// the shards covering its own row range — plus the bounded-memory
-// stream iterator. Same ml-20m 5%-scale synthetic as BenchmarkIngest,
-// written with 2^14-entry shards (~60 panels). Record with:
+// BENCH_kernels.json): the full-decode baseline (ReadBinary) against
+// what a distributed rank actually pays — mapping the file and decoding
+// only the quarter of the shards covering its own row range. Same
+// ml-20m 5%-scale synthetic as BenchmarkIngest, written with
+// 2^14-entry shards (~60 panels). Record with:
 //
 //	go test -run='^$' -bench=BenchmarkShardLoad -benchmem . |
 //	    go run ./cmd/bench2json -label pr5-shardload -out BENCH_kernels.json
@@ -76,21 +75,6 @@ func BenchmarkShardLoad(b *testing.B) {
 		reportIngest(b, int(size), entries)
 	})
 
-	b.Run("mmap_decode_all/ml20m-5pct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mp, err := sparse.OpenBinary(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := mp.Matrix()
-			if err != nil || a.NNZ() != entries {
-				b.Fatalf("decode failed: %v", err)
-			}
-			mp.Close()
-		}
-		reportIngest(b, int(size), entries)
-	})
-
 	// One rank of four: open, assign shards from the table, decode only
 	// the own quarter — the cmd/bpmf-dist startup path per rank.
 	b.Run("mmap_own_quarter/ml20m-5pct", func(b *testing.B) {
@@ -116,23 +100,5 @@ func BenchmarkShardLoad(b *testing.B) {
 		}
 		b.ReportMetric(float64(ownEntries), "own_entries")
 		reportIngest(b, int(size)/4, int(ownEntries))
-	})
-
-	b.Run("stream_panels/ml20m-5pct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			it, err := sparse.LoadStream(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var total int
-			for it.Next() {
-				total += it.Panel().A.NNZ()
-			}
-			if err := it.Err(); err != nil || total != entries {
-				b.Fatalf("stream failed: %v (%d of %d entries)", err, total, entries)
-			}
-			it.Close()
-		}
-		reportIngest(b, int(size), entries)
 	})
 }

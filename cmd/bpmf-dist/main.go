@@ -481,34 +481,32 @@ func launchWorkers(exe string, n, basePort int, common []string, elastic bool, s
 // buildProblem loads -data when given (every rank reads the same file,
 // so the deterministic split and partition plan agree across ranks) and
 // falls back to regenerating the named synthetic benchmark. For .bcsr
-// input it also returns the file's panel table so the planner can align
-// rank boundaries to shards.
+// input it also returns the file's panel table, read from the mapped
+// shard table, so the planner can align rank boundaries to shards; the
+// matrix itself is decoded by Load, independently of the mapped reader
+// the shard-native path uses.
 func buildProblem(dataPath, name string, scale, testFrac float64, seed uint64) (*core.Problem, *partition.Panels, error) {
 	if dataPath != "" {
 		isB, err := sparse.IsBCSR(dataPath)
 		if err != nil {
 			return nil, nil, err
 		}
+		var panels *partition.Panels
 		if isB {
 			mp, err := sparse.OpenBinary(dataPath)
 			if err != nil {
 				return nil, nil, err
 			}
-			defer mp.Close()
-			full, err := mp.Matrix()
-			if err != nil {
-				return nil, nil, err
-			}
-			panels := partition.PanelsOf(mp)
-			train, test := sparse.SplitTrainTest(full, testFrac, seed)
-			return core.NewProblem(train, test), &panels, nil
+			p := partition.PanelsOf(mp)
+			mp.Close()
+			panels = &p
 		}
 		full, err := sparse.Load(dataPath)
 		if err != nil {
 			return nil, nil, err
 		}
 		train, test := sparse.SplitTrainTest(full, testFrac, seed)
-		return core.NewProblem(train, test), nil, nil
+		return core.NewProblem(train, test), panels, nil
 	}
 	spec, err := config.Data{Synthetic: name, Scale: scale}.Spec(seed)
 	if err != nil {

@@ -94,25 +94,6 @@ func main() {
 		float64(st.PayloadBytesTouched)/1e3, float64(bi.Size())/1e6)
 	mp.Close()
 
-	// And a matrix larger than RAM streams panel by panel: peak memory
-	// is one shard, not the file.
-	it, err := sparse.LoadStream(bcsrPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	panels, maxPanel := 0, 0
-	for it.Next() {
-		panels++
-		if nnz := it.Panel().A.NNZ(); nnz > maxPanel {
-			maxPanel = nnz
-		}
-	}
-	if err := it.Err(); err != nil {
-		log.Fatal(err)
-	}
-	it.Close()
-	fmt.Printf("streamed %d panels in bounded memory (largest holds %d entries)\n", panels, maxPanel)
-
 	// Train straight off the shards via the public API.
 	data, err := bpmf.DataFromFile(bcsrPath, 0.2, 3)
 	if err != nil {

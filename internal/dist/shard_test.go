@@ -38,11 +38,12 @@ func writeShardedFile(t *testing.T, seed uint64, shardNNZ int) (path string, ful
 }
 
 // runFullLoad runs a virtual cluster where every rank holds the whole
-// matrix, under the panel-aligned plan (the .bcsr full-load path).
+// matrix, decoded by Load independently of the mapped reader, under the
+// panel-aligned plan (the .bcsr full-load path).
 func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
 	t.Helper()
 	mp := openShards(t, path)
-	fullR, err := mp.Matrix()
+	fullR, err := sparse.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

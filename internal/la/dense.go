@@ -264,43 +264,24 @@ func SyrLower(alpha float64, x Vector, a *Matrix) {
 	}
 }
 
-// SyrkBatchLower accumulates the gathered symmetric rank-nnz update
-//
-//	A += alpha * Σ_p src[cols[p]] · src[cols[p]]ᵀ
-//
-// into the lower triangle of A (including the diagonal), processing four
-// rating rows per pass with register-blocked outer products instead of
-// len(cols) independent SyrLower calls. Blocking quarters the
-// accumulator's load/store traffic and amortizes row-gather overhead —
-// this is the dominant kernel of the serial- and parallel-Cholesky item
-// updates (Figure 2), see PERF.md.
-//
-// The floating-point summation order is fixed to ascending rating index p
-// with one chained accumulation per matrix element, which is exactly the
-// order of the naive per-rating loop: the result is bit-identical to
-// calling SyrLower once per gathered row, for any nnz including the
-// 1–3-row tail.
-func SyrkBatchLower(alpha float64, src *Matrix, cols []int32, a *Matrix) {
-	SyrkAxpyBatchLower(alpha, src, cols, nil, a, nil)
-}
-
 // SyrkAxpyBatchLower fuses the two accumulations of the BPMF item update
 // into one gathered pass over the rating rows:
 //
-//	A += alpha * Σ_p x_p · x_pᵀ       (lower triangle, as SyrkBatchLower)
+//	A += alpha * Σ_p x_p · x_pᵀ       (lower triangle, diagonal included)
 //	y += Σ_p (alpha · vals[p]) · x_p   (the posterior rhs)
 //
-// where x_p = src[cols[p]]. vals and y may both be nil to skip the rhs
-// (SyrkBatchLower). Per memory element the summation order is ascending
-// p, so the result is bit-identical to the naive interleaved
-// SyrLower/Axpy per-rating loop.
+// where x_p = src[cols[p]], four rating rows per pass with
+// register-blocked outer products — the dominant kernel of the serial-
+// and parallel-Cholesky item updates (Figure 2, see PERF.md). Per memory
+// element the summation order is ascending p, so the result is
+// bit-identical to the naive interleaved SyrLower/Axpy per-rating loop,
+// 1–3-row tail included.
 func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64, a *Matrix, y Vector) {
 	n := a.Rows
 	if a.Cols != n || src.Cols != n {
 		panic("la: SyrkAxpyBatchLower dimension mismatch")
 	}
-	withRhs := y != nil
-	if withRhs && (len(y) != n || len(vals) != len(cols)) {
+	if len(y) != n || len(vals) != len(cols) {
 		panic("la: SyrkAxpyBatchLower rhs dimension mismatch")
 	}
 	p := 0
@@ -309,47 +290,52 @@ func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64
 		x1 := src.Row(int(cols[p+1]))
 		x2 := src.Row(int(cols[p+2]))
 		x3 := src.Row(int(cols[p+3]))
-		if withRhs {
-			a0 := alpha * vals[p]
-			a1 := alpha * vals[p+1]
-			a2 := alpha * vals[p+2]
-			a3 := alpha * vals[p+3]
-			for i := range y {
-				s := y[i]
-				s += a0 * x0[i]
-				s += a1 * x1[i]
-				s += a2 * x2[i]
-				s += a3 * x3[i]
-				y[i] = s
-			}
+		a0 := alpha * vals[p]
+		a1 := alpha * vals[p+1]
+		a2 := alpha * vals[p+2]
+		a3 := alpha * vals[p+3]
+		for i := range y {
+			s := y[i]
+			s += a0 * x0[i]
+			s += a1 * x1[i]
+			s += a2 * x2[i]
+			s += a3 * x3[i]
+			y[i] = s
 		}
-		for i := 0; i < n; i++ {
-			f0 := alpha * x0[i]
-			f1 := alpha * x1[i]
-			f2 := alpha * x2[i]
-			f3 := alpha * x3[i]
-			row := a.Row(i)[: i+1 : i+1]
-			b0 := x0[:len(row)]
-			b1 := x1[:len(row)]
-			b2 := x2[:len(row)]
-			b3 := x3[:len(row)]
-			for j := range row {
-				s := row[j]
-				s += f0 * b0[j]
-				s += f1 * b1[j]
-				s += f2 * b2[j]
-				s += f3 * b3[j]
-				row[j] = s
-			}
-		}
+		syr4Lower(alpha, x0, x1, x2, x3, a)
 	}
 	// Tail of 1–3 rows: plain per-rating updates, still ascending p.
 	for ; p < len(cols); p++ {
 		x := src.Row(int(cols[p]))
-		if withRhs {
-			Axpy(alpha*vals[p], x, y)
-		}
+		Axpy(alpha*vals[p], x, y)
 		SyrLower(alpha, x, a)
+	}
+}
+
+// syr4Lower adds alpha·(x0x0ᵀ + x1x1ᵀ + x2x2ᵀ + x3x3ᵀ) to the lower
+// triangle of a, each element receiving the four terms in that order.
+// It is its own function so its inner loop keeps every value in a
+// register: written inline beside the rhs update, the loop index spills
+// to the stack and the kernel runs ~20% slower (amd64, Go 1.24).
+func syr4Lower(alpha float64, x0, x1, x2, x3 Vector, a *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		f0 := alpha * x0[i]
+		f1 := alpha * x1[i]
+		f2 := alpha * x2[i]
+		f3 := alpha * x3[i]
+		row := a.Row(i)[: i+1 : i+1]
+		b0 := x0[:len(row)]
+		b1 := x1[:len(row)]
+		b2 := x2[:len(row)]
+		b3 := x3[:len(row)]
+		for j := range row {
+			s := row[j]
+			s += f0 * b0[j]
+			s += f1 * b1[j]
+			s += f2 * b2[j]
+			s += f3 * b3[j]
+			row[j] = s
+		}
 	}
 }
 

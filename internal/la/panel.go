@@ -35,7 +35,7 @@ func GatherRows(src *Matrix, cols []int32, dst *Matrix) {
 // SyrkAxpyPanelLower computes exactly what SyrkAxpyBatchLower computes —
 //
 //	A += alpha * Σ_p x_p · x_pᵀ        (lower triangle)
-//	y += Σ_p (alpha · vals[p]) · x_p   (skipped when vals and y are nil)
+//	y += Σ_p (alpha · vals[p]) · x_p
 //
 // with x_p = src[cols[p]] — but in panels: GatherPanelRows rating rows are
 // first copied into the contiguous panel scratch, and the register-blocked
@@ -49,8 +49,7 @@ func GatherRows(src *Matrix, cols []int32, dst *Matrix) {
 // panel must have at least GatherPanelRows rows (or len(cols) rows if
 // smaller) and src.Cols columns; its previous contents are irrelevant.
 func SyrkAxpyPanelLower(alpha float64, src *Matrix, cols []int32, vals []float64, a *Matrix, y Vector, panel *Matrix) {
-	withRhs := y != nil
-	if withRhs && len(vals) != len(cols) {
+	if len(vals) != len(cols) {
 		panic("la: SyrkAxpyPanelLower rhs dimension mismatch")
 	}
 	for p0 := 0; p0 < len(cols); p0 += GatherPanelRows {
@@ -60,10 +59,6 @@ func SyrkAxpyPanelLower(alpha float64, src *Matrix, cols []int32, vals []float64
 		}
 		cnt := hi - p0
 		GatherRows(src, cols[p0:hi], panel)
-		if withRhs {
-			SyrkAxpyBatchLower(alpha, panel, iotaCols[:cnt], vals[p0:hi], a, y)
-		} else {
-			SyrkBatchLower(alpha, panel, iotaCols[:cnt], a)
-		}
+		SyrkAxpyBatchLower(alpha, panel, iotaCols[:cnt], vals[p0:hi], a, y)
 	}
 }

@@ -3,6 +3,8 @@ package partition
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sparse"
@@ -79,21 +81,17 @@ func TestBuildWithPanels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Derive panels from the written file's actual layout via the
-	// streaming iterator.
-	it, err := sparse.NewShardIter(bytes.NewReader(buf.Bytes()))
+	// mapped reader's shard table.
+	path := filepath.Join(t.TempDir(), "a.bcsr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := sparse.OpenBinary(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var panels Panels
-	for it.Next() {
-		pl := it.Panel()
-		panels.Lo = append(panels.Lo, pl.RowLo)
-		panels.Hi = append(panels.Hi, pl.RowHi)
-		panels.NNZ = append(panels.NNZ, int64(pl.A.NNZ()))
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
+	defer mp.Close()
+	panels := PanelsOf(mp)
 
 	plan, err := BuildWithPanels(a, panels, Options{Ranks: 3})
 	if err != nil {

@@ -54,48 +54,79 @@ func WriteBinary(w io.Writer, a *CSR) error {
 // WriteBinarySharded writes a with row panels targeting shardNNZ
 // entries each (a shard always holds at least one full row).
 func WriteBinarySharded(w io.Writer, a *CSR, shardNNZ int) error {
-	if shardNNZ < 1 {
-		shardNNZ = DefaultShardNNZ
-	}
 	rowNNZ := make([]int64, a.M)
 	for r := range rowNNZ {
 		rowNNZ[r] = int64(a.RowNNZ(r))
 	}
 	lo, hi := panelBounds(rowNNZ, shardNNZ)
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var err error
-	writeU64 := func(v uint64) {
-		if err == nil {
-			err = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	if _, werr := bw.WriteString(bcsrMagic); werr != nil {
-		return fmt.Errorf("sparse: writing bcsr magic: %w", werr)
-	}
-	writeU64(uint64(a.M))
-	writeU64(uint64(a.N))
-	writeU64(uint64(a.NNZ()))
-	writeU64(uint64(len(lo)))
-	for s := range lo {
-		writeU64(uint64(lo[s]))
-		writeU64(uint64(hi[s]))
-	}
+	bw, err := writeBCSRHead(w, a.M, a.N, int64(a.NNZ()), lo, hi)
 	if err != nil {
-		return fmt.Errorf("sparse: writing bcsr header: %w", err)
+		return err
 	}
 	var payload []byte
 	for s := range lo {
 		payload = encodePanel(payload[:0], a, lo[s], hi[s])
-		writeU64(uint64(a.RowPtr[hi[s]] - a.RowPtr[lo[s]]))
-		writeU64(uint64(crc32.ChecksumIEEE(payload)))
-		if err == nil {
-			_, err = bw.Write(payload)
-		}
-		if err != nil {
-			return fmt.Errorf("sparse: writing bcsr shard %d: %w", s, err)
+		if err := bw.shard(s, a.RowPtr[hi[s]]-a.RowPtr[lo[s]], payload); err != nil {
+			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	return bw.flush()
+}
+
+// bcsrNNZOffset is the byte offset of the header's NNZ field, which a
+// writer that learns the total only after the last shard patches in
+// place.
+const bcsrNNZOffset = int64(len(bcsrMagic)) + 16
+
+// bcsrWriter emits the .bcsr framing every writer shares: the magic,
+// header and shard table (writeBCSRHead), then each shard's nnz, CRC32
+// and payload in table order (shard). The first write error sticks.
+type bcsrWriter struct {
+	bw  *bufio.Writer
+	err error
+}
+
+func (w *bcsrWriter) u64(v uint64) {
+	if w.err == nil {
+		_, w.err = w.bw.Write(binary.LittleEndian.AppendUint64(w.bw.AvailableBuffer(), v))
+	}
+}
+
+// writeBCSRHead starts a .bcsr stream of an m x n matrix with nnz
+// entries in the row panels [lo[s], hi[s]).
+func writeBCSRHead(w io.Writer, m, n int, nnz int64, lo, hi []int) (*bcsrWriter, error) {
+	bw := &bcsrWriter{bw: bufio.NewWriterSize(w, 1<<20)}
+	_, bw.err = bw.bw.WriteString(bcsrMagic)
+	bw.u64(uint64(m))
+	bw.u64(uint64(n))
+	bw.u64(uint64(nnz))
+	bw.u64(uint64(len(lo)))
+	for s := range lo {
+		bw.u64(uint64(lo[s]))
+		bw.u64(uint64(hi[s]))
+	}
+	if bw.err != nil {
+		return nil, fmt.Errorf("sparse: writing bcsr header: %w", bw.err)
+	}
+	return bw, nil
+}
+
+// shard writes shard s: its entry count, its payload's CRC32, and the
+// payload itself.
+func (w *bcsrWriter) shard(s int, nnz int64, payload []byte) error {
+	w.u64(uint64(nnz))
+	w.u64(uint64(crc32.ChecksumIEEE(payload)))
+	if w.err == nil {
+		_, w.err = w.bw.Write(payload)
+	}
+	if w.err != nil {
+		return fmt.Errorf("sparse: writing bcsr shard %d: %w", s, w.err)
+	}
+	return nil
+}
+
+func (w *bcsrWriter) flush() error {
+	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("sparse: flushing bcsr: %w", err)
 	}
 	return nil
@@ -117,10 +148,12 @@ func encodePanel(dst []byte, a *CSR, lo, hi int) []byte {
 }
 
 // bcsrLayout is a .bcsr stream's validated header and shard table: the
-// dimensions plus the contiguous row panels covering [0, M). It is the
-// part of the format every reader — streaming, mapped, one-shot — must
-// agree on, so all three parse it through readBCSRLayout and report
-// byte-identical errors for the same corruption.
+// dimensions plus the contiguous row panels covering [0, M). Both
+// readers — ReadBinary, which decodes a whole stream in order, and
+// OpenBinary, which maps a file and decodes shards on demand — parse it
+// through readBCSRLayout, check each shard's framing with shardMeta and
+// each payload with decodePanel, so the same corruption reads as the
+// same error from either.
 type bcsrLayout struct {
 	m, n, nnz, shards uint64
 	lo, hi            []uint64 // per-shard row panel bounds
@@ -205,12 +238,14 @@ func (l *bcsrLayout) shardMeta(s int, snnz uint64, total uint64) (payloadLen int
 	return int64(rows+1)*8 + int64(snnz)*12, nil
 }
 
-// ReadBinary reads a .bcsr matrix. Corrupt input — truncated streams,
-// shard CRC mismatches, implausible dimensions, non-monotonic row
-// pointers, out-of-range columns, non-finite values — is reported as an
-// error before it can poison a sampler; no input panics, and no header
-// field is trusted for an allocation larger than the bytes actually
-// present (reads grow in bounded chunks).
+// ReadBinary reads a .bcsr matrix from the front of r, decoding the
+// shards in order — the whole-matrix reader Load uses; OpenBinary is
+// the random-access one. Corrupt input — truncated streams, shard CRC
+// mismatches, implausible dimensions, non-monotonic row pointers,
+// out-of-range columns, non-finite values — is reported as an error
+// before it can poison a sampler; no input panics, and no header field
+// is trusted for an allocation larger than the bytes actually present
+// (reads grow in bounded chunks, and the matrix grows shard by shard).
 func ReadBinary(r io.Reader) (*CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	lay, err := readBCSRLayout(br)
@@ -218,7 +253,7 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		return nil, err
 	}
 
-	a := &CSR{M: int(lay.m), N: int(lay.n), RowPtr: make([]int64, lay.m+1)}
+	a := &CSR{M: int(lay.m), N: int(lay.n), RowPtr: make([]int64, 1)}
 	var payload []byte
 	var total uint64
 	for s := range lay.lo {
@@ -237,7 +272,10 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		if verr := verifyShardCRC(s, payload, scrc); verr != nil {
 			return nil, verr
 		}
-		if derr := decodePanel(a, payload, int(lay.lo[s]), int(lay.hi[s]), int64(total), int64(snnz)); derr != nil {
+		// RowPtr grows only as payload arrives: the header's row count
+		// alone buys no allocation.
+		a.RowPtr = append(a.RowPtr, make([]int64, lay.hi[s]-lay.lo[s])...)
+		if derr := decodePanel(a, payload, int(lay.lo[s]), int(lay.hi[s]), a.N, int64(snnz), int64(total)); derr != nil {
 			return nil, fmt.Errorf("sparse: bcsr shard %d: %w", s, derr)
 		}
 		total += snnz
@@ -300,57 +338,86 @@ func shortReadError(want, got int64, cause error) error {
 	return fmt.Errorf("sparse: short read: want %d bytes, got %d: %w", want, got, cause)
 }
 
-// decodePanel validates and appends one shard's rows to the CSR under
-// construction. base is the global entry offset of the panel.
-func decodePanel(a *CSR, payload []byte, lo, hi int, base, snnz int64) error {
+// decodePanel holds the structural rules of a shard payload, checked
+// against its raw bytes in this order: the panel-relative row pointers
+// start at 0, never decrease, stay within [0, snnz] and end at snnz;
+// every column lies in [0, n); columns ascend strictly within each row
+// (the canonical accumulation order every engine's bit-reproducibility
+// rests on); every value is finite. The payload covers global rows
+// [lo, hi) and global entries from entryBase, and messages use those
+// global indices, so a corruption reads the same whichever reader meets
+// it.
+//
+// With a == nil the payload is only checked — the mapped row accessors
+// then index its raw bytes. Otherwise it is decoded as it is checked:
+// its entries are appended to a.Col and a.Val and a.RowPtr[lo..hi] is
+// filled, so a.RowPtr must already reach index hi.
+func decodePanel(a *CSR, payload []byte, lo, hi, n int, snnz, entryBase int64) error {
+	le := binary.LittleEndian
 	rows := hi - lo
 	ptrEnd := int64(rows+1) * 8
 	ptr := payload[:ptrEnd]
 	cols := payload[ptrEnd : ptrEnd+snnz*4]
 	vals := payload[ptrEnd+snnz*4:]
-	prev := int64(0)
-	if first := int64(binary.LittleEndian.Uint64(ptr)); first != 0 {
+	var outCol []int32
+	var outVal []float64
+	var outBase int64
+	if a != nil {
+		outBase = int64(len(a.Col))
+		a.Col = append(a.Col, make([]int32, snnz)...)
+		a.Val = append(a.Val, make([]float64, snnz)...)
+		outCol, outVal = a.Col[outBase:], a.Val[outBase:]
+	}
+	if first := int64(le.Uint64(ptr)); first != 0 {
 		return fmt.Errorf("panel rowPtr starts at %d, want 0", first)
 	}
+	prev := int64(0)
 	for r := 0; r <= rows; r++ {
-		p := int64(binary.LittleEndian.Uint64(ptr[r*8:]))
+		p := int64(le.Uint64(ptr[r*8:]))
 		if p < prev || p > snnz {
 			return fmt.Errorf("panel rowPtr not monotone in [0, %d]: row %d has %d after %d", snnz, r, p, prev)
 		}
 		prev = p
-		a.RowPtr[lo+r] = base + p
+		if a != nil {
+			a.RowPtr[lo+r] = outBase + p
+		}
 	}
 	if prev != snnz {
 		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
 	}
-	nOld := len(a.Col)
-	a.Col = append(a.Col, make([]int32, snnz)...)
-	a.Val = append(a.Val, make([]float64, snnz)...)
-	outCol := a.Col[nOld:]
-	outVal := a.Val[nOld:]
-	for k := int64(0); k < snnz; k++ {
-		c := binary.LittleEndian.Uint32(cols[k*4:])
-		if uint64(c) >= uint64(a.N) {
-			return fmt.Errorf("column %d out of range [0, %d)", c, a.N)
-		}
-		outCol[k] = int32(c)
-	}
-	// Columns must be strictly ascending within each row — the canonical
-	// accumulation order every engine's bit-reproducibility rests on.
+	// One pass over the columns row by row (which visits every entry,
+	// the row pointers being valid); the first ascent violation is held
+	// back until no column anywhere is out of range.
+	unsorted := -1
+	var uc, ub int64
 	for r := 0; r < rows; r++ {
-		s, e := a.RowPtr[lo+r]-base, a.RowPtr[lo+r+1]-base
-		for k := s + 1; k < e; k++ {
-			if outCol[k] <= outCol[k-1] {
-				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", lo+r, outCol[k], outCol[k-1])
+		s, e := int64(le.Uint64(ptr[r*8:])), int64(le.Uint64(ptr[(r+1)*8:]))
+		before := int64(-1)
+		for k := s; k < e; k++ {
+			c := int64(le.Uint32(cols[k*4:]))
+			if c >= int64(n) {
+				return fmt.Errorf("column %d out of range [0, %d)", c, n)
+			}
+			if c <= before && unsorted < 0 {
+				unsorted, uc, ub = r, c, before
+			}
+			before = c
+			if a != nil {
+				outCol[k] = int32(c)
 			}
 		}
 	}
+	if unsorted >= 0 {
+		return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", lo+unsorted, uc, ub)
+	}
 	for k := int64(0); k < snnz; k++ {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
+		v := math.Float64frombits(le.Uint64(vals[k*8:]))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("entry %d has non-finite value %v", base+k, v)
+			return fmt.Errorf("entry %d has non-finite value %v", entryBase+k, v)
 		}
-		outVal[k] = v
+		if a != nil {
+			outVal[k] = v
+		}
 	}
 	return nil
 }

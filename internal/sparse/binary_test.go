@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -127,6 +128,32 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsRowsWithoutPayload: a 58-byte file — magic, a
+// header claiming 2^27 rows and no entries, and one shard covering them
+// all, with no shard bytes behind it — must fail without ReadBinary
+// allocating in proportion to the claimed row count (a row pointer
+// array for it would be 1 GiB).
+func TestBinaryRejectsRowsWithoutPayload(t *testing.T) {
+	le := binary.LittleEndian
+	data := []byte(bcsrMagic)
+	for _, v := range []uint64{maxMMDim, 1, 0, 1, 0, maxMMDim} {
+		data = le.AppendUint64(data, v)
+	}
+	if len(data) != 58 {
+		t.Fatalf("hostile file is %d bytes, want 58", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("row claim without payload accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("rejecting a 58-byte file allocated %d bytes", alloc)
+	}
+}
+
 func TestConverterMatchesSequentialParse(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	dir := t.TempDir()
@@ -149,7 +176,7 @@ func TestConverterMatchesSequentialParse(t *testing.T) {
 		}
 		f.Close()
 
-		stats, err := Converter{ShardNNZ: 50, TmpDir: dir}.Convert(mmPath, bcsrPath)
+		stats, err := Converter{ShardNNZ: 50}.Convert(mmPath, bcsrPath)
 		if err != nil {
 			t.Fatal(err)
 		}

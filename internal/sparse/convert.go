@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -38,10 +37,9 @@ const (
 // largest shard), never O(total entries).
 type Converter struct {
 	// ShardNNZ is the target entries per shard (0 = DefaultShardNNZ).
+	// Spill files live next to the output file, on the same filesystem
+	// as the result.
 	ShardNNZ int
-	// TmpDir holds the spill files (empty = the output file's directory,
-	// so spills land on the same filesystem as the result).
-	TmpDir string
 	// Dedup says what to do with duplicate (row, col) entries. The zero
 	// value is DedupSum, the historical behavior.
 	Dedup DedupPolicy
@@ -66,9 +64,10 @@ type ConvertStats struct {
 // half-written shard file behind).
 func (cv Converter) Convert(mmPath, outPath string) (ConvertStats, error) {
 	// Pass 1: count entries per row (and fully validate the stream).
+	var m, n int
 	var rowNNZ []int64
-	m, n, _, err := streamMM(mmPath, func(hm, hn, hnnz int) error {
-		rowNNZ = make([]int64, hm)
+	err := streamMM(mmPath, func(hm, hn, _ int) error {
+		m, n, rowNNZ = hm, hn, make([]int64, hm)
 		return nil
 	}, func(e Entry) error {
 		rowNNZ[e.Row]++
@@ -82,13 +81,12 @@ func (cv Converter) Convert(mmPath, outPath string) (ConvertStats, error) {
 	// outside pass 1's panels must surface as an error, not an
 	// out-of-range shard index.
 	stream := func(visit func(Entry) error) error {
-		_, _, _, err := streamMM(mmPath, func(m2, n2, _ int) error {
+		return streamMM(mmPath, func(m2, n2, _ int) error {
 			if m2 != m || n2 != n {
 				return fmt.Errorf("sparse: %s changed between conversion passes (%dx%d, was %dx%d)", mmPath, m2, n2, m, n)
 			}
 			return nil
 		}, visit)
-		return err
 	}
 	return cv.convertCounted(m, n, rowNNZ, stream, outPath)
 }
@@ -123,17 +121,9 @@ func (cv Converter) ConvertEntries(m, n int, stream EntryStream, outPath string)
 // and ConvertEntries: pass 1 (counting) is done, rowNNZ sizes the
 // panels, and stream replays the entries for the spill pass.
 func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream, outPath string) (ConvertStats, error) {
-	target := cv.ShardNNZ
-	if target < 1 {
-		target = DefaultShardNNZ
-	}
-	lo, hi := panelBounds(rowNNZ, target)
+	lo, hi := panelBounds(rowNNZ, cv.ShardNNZ)
 
 	// Spill pass: bucket entries into per-shard spill files.
-	tmpDir := cv.TmpDir
-	if tmpDir == "" {
-		tmpDir = filepath.Dir(outPath)
-	}
 	spills := make([]*os.File, len(lo))
 	spillW := make([]*bufio.Writer, len(lo))
 	defer func() {
@@ -145,7 +135,7 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 		}
 	}()
 	for s := range lo {
-		f, err := os.CreateTemp(tmpDir, "bcsr-spill-*")
+		f, err := os.CreateTemp(filepath.Dir(outPath), "bcsr-spill-*")
 		if err != nil {
 			return ConvertStats{}, fmt.Errorf("sparse: creating spill file: %w", err)
 		}
@@ -187,26 +177,11 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 			os.Remove(out.Name())
 		}
 	}()
-	bw := bufio.NewWriterSize(out, 1<<20)
-	var werr error
-	writeU64 := func(v uint64) {
-		if werr == nil {
-			werr = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	if _, err := bw.WriteString(bcsrMagic); err != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: writing bcsr magic: %w", err)
-	}
-	writeU64(uint64(m))
-	writeU64(uint64(n))
 	// NNZ is not known until every panel has deduplicated; write a
-	// placeholder at a remembered offset and patch it before the rename.
-	nnzOffset := int64(len(bcsrMagic)) + 16
-	writeU64(0)
-	writeU64(uint64(len(lo)))
-	for s := range lo {
-		writeU64(uint64(lo[s]))
-		writeU64(uint64(hi[s]))
+	// placeholder and patch it before the rename.
+	bw, err := writeBCSRHead(out, m, n, 0, lo, hi)
+	if err != nil {
+		return ConvertStats{}, err
 	}
 	var totalNNZ int64
 	var payload []byte
@@ -220,22 +195,14 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 		spills[s] = nil
 		totalNNZ += int64(panel.NNZ())
 		payload = encodePanel(payload[:0], panel, 0, panel.M)
-		writeU64(uint64(panel.NNZ()))
-		writeU64(uint64(crc32.ChecksumIEEE(payload)))
-		if werr == nil {
-			_, werr = bw.Write(payload)
-		}
-		if werr != nil {
-			return ConvertStats{}, fmt.Errorf("sparse: writing bcsr shard %d: %w", s, werr)
+		if err := bw.shard(s, int64(panel.NNZ()), payload); err != nil {
+			return ConvertStats{}, err
 		}
 	}
-	if werr == nil {
-		werr = bw.Flush()
+	if err := bw.flush(); err != nil {
+		return ConvertStats{}, err
 	}
-	if werr != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: writing bcsr: %w", werr)
-	}
-	if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), nnzOffset); err != nil {
+	if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), bcsrNNZOffset); err != nil {
 		return ConvertStats{}, fmt.Errorf("sparse: patching bcsr entry count: %w", err)
 	}
 	if err := out.Close(); err != nil {
@@ -302,8 +269,12 @@ func dedupLastInPlace(coo *COO) {
 }
 
 // panelBounds greedily packs rows into contiguous panels of about
-// target entries each (always at least one row per panel).
+// target entries each (target < 1 means DefaultShardNNZ), always at
+// least one row per panel.
 func panelBounds(rowNNZ []int64, target int) (lo, hi []int) {
+	if target < 1 {
+		target = DefaultShardNNZ
+	}
 	for r := 0; r < len(rowNNZ); {
 		end := r
 		nnz := int64(0)
@@ -318,69 +289,14 @@ func panelBounds(rowNNZ []int64, target int) (lo, hi []int) {
 	return lo, hi
 }
 
-// streamMM streams the entries of a MatrixMarket file in file order
-// through visit, after announcing the parsed size line via header (may
-// be nil). It shares every validation rule with ReadMatrixMarket.
-func streamMM(path string, header func(m, n, nnz int) error, visit func(Entry) error) (m, n, count int, err error) {
+// streamMM streams the entries of the MatrixMarket file at path in file
+// order through visit, after announcing the parsed size line via
+// header. It shares every validation rule with ReadMatrixMarket.
+func streamMM(path string, header func(m, n, nnz int) error, visit func(Entry) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, err
+		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(bufio.NewReaderSize(f, 1<<20))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
-		}
-		return 0, 0, 0, fmt.Errorf("sparse: empty MatrixMarket stream")
-	}
-	if err := validateMMHeader(sc.Text()); err != nil {
-		return 0, 0, 0, err
-	}
-	var nnz int
-	sized := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		if m, n, nnz, err = parseMMSize(string(line)); err != nil {
-			return 0, 0, 0, err
-		}
-		sized = true
-		break
-	}
-	if !sized {
-		if err := sc.Err(); err != nil {
-			return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
-		}
-		return 0, 0, 0, fmt.Errorf("sparse: MatrixMarket stream has no size line")
-	}
-	if header != nil {
-		if err := header(m, n, nnz); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		e, err := parseEntryBytes(line, m, n)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := visit(e); err != nil {
-			return 0, 0, 0, err
-		}
-		count++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	if count != nnz {
-		return 0, 0, 0, fmt.Errorf("sparse: header promised %d entries, found %d", nnz, count)
-	}
-	return m, n, count, nil
+	return scanMM(f, parseEntryBytes, header, visit)
 }

@@ -30,7 +30,7 @@ func TestConverterDedupSumIsDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "dup.bcsr")
-	stats, err := Converter{TmpDir: dir}.Convert(mm, out)
+	stats, err := Converter{}.Convert(mm, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestConverterDedupLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "dup-last.bcsr")
-	stats, err := Converter{TmpDir: dir, Dedup: DedupLast}.Convert(mm, out)
+	stats, err := Converter{Dedup: DedupLast}.Convert(mm, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestConvertEntriesRoundTrip(t *testing.T) {
 		{Row: 2, Col: 2, Val: 4},
 	}
 	out := filepath.Join(dir, "entries.bcsr")
-	stats, err := Converter{TmpDir: dir, Dedup: DedupLast, ShardNNZ: 2}.ConvertEntries(4, 3, sliceStream(es), out)
+	stats, err := Converter{Dedup: DedupLast, ShardNNZ: 2}.ConvertEntries(4, 3, sliceStream(es), out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestConvertEntriesRejects(t *testing.T) {
 		"non-finite": {2, 2, sliceStream([]Entry{{Row: 0, Col: 0, Val: math.NaN()}}), "non-finite"},
 	}
 	for name, tc := range cases {
-		_, err := Converter{TmpDir: dir}.ConvertEntries(tc.m, tc.n, tc.stream, out)
+		_, err := Converter{}.ConvertEntries(tc.m, tc.n, tc.stream, out)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v does not mention %q", name, err, tc.want)
 		}
@@ -154,7 +154,7 @@ func TestConvertEntriesUnstableStream(t *testing.T) {
 		}
 		return visit(Entry{Row: 5, Col: 0, Val: 1})
 	}
-	_, err := Converter{TmpDir: dir}.ConvertEntries(2, 2, stream, filepath.Join(dir, "x.bcsr"))
+	_, err := Converter{}.ConvertEntries(2, 2, stream, filepath.Join(dir, "x.bcsr"))
 	if err == nil || !strings.Contains(err.Error(), "counting pass") {
 		t.Fatalf("unstable stream not rejected: %v", err)
 	}

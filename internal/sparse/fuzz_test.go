@@ -7,7 +7,7 @@ import (
 )
 
 // fuzz_test.go is the loader-hardening corpus: no byte stream, however
-// corrupt, may panic either MatrixMarket parser or the bcsr reader, and
+// corrupt, may panic either MatrixMarket parser or either bcsr reader, and
 // the two MatrixMarket parsers must stay decision-identical (the
 // parallel parser's contract is "bit-identical to the sequential
 // parse", which includes rejecting exactly the same inputs). The
@@ -62,10 +62,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary hammers the bcsr readers differentially: arbitrary
+// FuzzReadBinary hammers the two bcsr readers differentially: arbitrary
 // bytes must error or yield a matrix that survives a write/read round
-// trip, and the streaming, mapped and stream-iterator readers must
-// agree on accept/reject (with identical matrices on accept).
+// trip, and the streaming reader (ReadBinary) and the mapped reader
+// decoding every shard must agree on accept/reject (with identical
+// matrices on accept).
 func FuzzReadBinary(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	a := randomCSR(r, 12, 40)
@@ -96,38 +97,15 @@ func FuzzReadBinary(f *testing.F) {
 		if mp, oerr := openBinaryBytes(data); oerr != nil {
 			mapErr = oerr
 		} else {
-			mapGot, mapErr = mp.Matrix()
+			mapGot, mapErr = decodeAll(mp)
 		}
 		if (err == nil) != (mapErr == nil) {
 			t.Fatalf("readers disagree: ReadBinary err=%v, mapped err=%v", err, mapErr)
 		}
-
-		// Stream iterator: panel-at-a-time decode, same verdict again.
-		var itGot *CSR
-		itErr := error(nil)
-		if it, oerr := NewShardIter(bytes.NewReader(data)); oerr != nil {
-			itErr = oerr
-		} else {
-			m, n, _, _ := it.Dims()
-			itGot = &CSR{M: m, N: n, RowPtr: make([]int64, m+1)}
-			for it.Next() {
-				p := it.Panel()
-				base := int64(len(itGot.Col))
-				itGot.Col = append(itGot.Col, p.A.Col...)
-				itGot.Val = append(itGot.Val, p.A.Val...)
-				for r := 0; r <= p.A.M; r++ {
-					itGot.RowPtr[p.RowLo+r] = base + p.A.RowPtr[r]
-				}
-			}
-			itErr = it.Err()
-		}
-		if (err == nil) != (itErr == nil) {
-			t.Fatalf("readers disagree: ReadBinary err=%v, stream err=%v", err, itErr)
-		}
 		if err != nil {
 			return
 		}
-		if !Equal(got, mapGot) || !Equal(got, itGot) {
+		if !Equal(got, mapGot) {
 			t.Fatal("readers accept but matrices differ")
 		}
 		var rt bytes.Buffer

@@ -24,9 +24,9 @@ const (
 	// file that promises 10^12 entries but holds three costs 64 MiB at
 	// most, not a terabyte.
 	cooCapHint = 1 << 22
-	// maxMMLine caps one line's length. The streaming readers inherit it
-	// from their bufio.Scanner buffer; the parallel parser enforces it
-	// explicitly so both paths accept and reject the same files.
+	// maxMMLine caps one line's length. scanMM inherits it from its
+	// bufio.Scanner buffer; the parallel parser enforces it explicitly
+	// so both paths accept and reject the same files.
 	maxMMLine = 1 << 20
 )
 
@@ -255,63 +255,78 @@ func truncateForErr(s string) string {
 // files prefer Load, which runs the chunked parallel parser over the
 // same semantics.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, maxMMLine), maxMMLine)
-	// Header.
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
-		}
-		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
-	}
-	if err := validateMMHeader(sc.Text()); err != nil {
+	var coo *COO
+	err := scanMM(r, func(line []byte, m, n int) (Entry, error) {
+		return parseEntryFields(strings.Fields(string(line)), m, n)
+	}, func(m, n, nnz int) error {
+		coo = NewCOO(m, n, min(nnz, cooCapHint))
+		return nil
+	}, func(e Entry) error {
+		coo.Entries = append(coo.Entries, e)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Skip comments, read size line.
-	var m, n, nnz int
+	return coo.ToCSR(), nil
+}
+
+// scanMM reads a MatrixMarket coordinate stream line by line, with
+// lines capped at maxMMLine: it validates the banner, skips comments
+// and blank lines, parses the size line and announces it through
+// header, then hands each entry line, parsed by parse, to visit in file
+// order. A stream holding a different entry count than its size line
+// declares is an error.
+func scanMM(r io.Reader, parse func(line []byte, m, n int) (Entry, error), header func(m, n, nnz int) error, visit func(Entry) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, maxMMLine), maxMMLine)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
+		}
+		return fmt.Errorf("sparse: empty MatrixMarket stream")
+	}
+	if err := validateMMHeader(sc.Text()); err != nil {
+		return err
+	}
+	var m, n, nnz, count int
 	sized := false
 	for sc.Scan() {
 		line := sc.Bytes()
 		if isMMSkipLine(line) {
 			continue
 		}
-		var err error
-		m, n, nnz, err = parseMMSize(string(line))
-		if err != nil {
-			return nil, err
-		}
-		sized = true
-		break
-	}
-	if !sized {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
-		}
-		return nil, fmt.Errorf("sparse: MatrixMarket stream has no size line")
-	}
-	hint := nnz
-	if hint > cooCapHint {
-		hint = cooCapHint
-	}
-	coo := NewCOO(m, n, hint)
-	count := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
+		if !sized {
+			var err error
+			if m, n, nnz, err = parseMMSize(string(line)); err != nil {
+				return err
+			}
+			if err := header(m, n, nnz); err != nil {
+				return err
+			}
+			sized = true
 			continue
 		}
-		e, err := parseEntryFields(strings.Fields(string(line)), m, n)
+		e, err := parse(line, m, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		coo.Entries = append(coo.Entries, e)
+		if err := visit(e); err != nil {
+			return err
+		}
 		count++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		if !sized {
+			return fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
+		}
+		return err
+	}
+	if !sized {
+		return fmt.Errorf("sparse: MatrixMarket stream has no size line")
 	}
 	if count != nnz {
-		return nil, fmt.Errorf("sparse: header promised %d entries, found %d", nnz, count)
+		return fmt.Errorf("sparse: header promised %d entries, found %d", nnz, count)
 	}
-	return coo.ToCSR(), nil
+	return nil
 }

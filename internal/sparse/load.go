@@ -44,16 +44,6 @@ func IsBCSR(path string) (bool, error) {
 // GOMAXPROCS when the file is large enough to benefit). It is the one
 // entry point every command and example loads matrices through.
 func Load(path string) (*CSR, error) {
-	return load(path, nil, true)
-}
-
-// LoadPool is Load with an explicit worker pool for the MatrixMarket
-// parse (nil = parse on the calling goroutine only).
-func LoadPool(path string, pool *sched.Pool) (*CSR, error) {
-	return load(path, pool, false)
-}
-
-func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -74,10 +64,10 @@ func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sparse: reading %s: %w", path, err)
 		}
-		if auto && pool == nil && len(data) >= autoPoolMin && runtime.GOMAXPROCS(0) > 1 {
-			p := sched.NewPool(0)
-			defer p.Close()
-			pool = p
+		var pool *sched.Pool
+		if len(data) >= autoPoolMin && runtime.GOMAXPROCS(0) > 1 {
+			pool = sched.NewPool(0)
+			defer pool.Close()
 		}
 		return ParseMatrixMarket(data, pool)
 	default:

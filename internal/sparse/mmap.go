@@ -13,17 +13,18 @@ import (
 	"sync/atomic"
 )
 
-// mmap.go is the shard-native read path of the .bcsr format: OpenBinary
-// maps a file (mmap on unix, an io.ReaderAt fallback elsewhere — same
-// interface, chosen by build tag) and exposes per-panel views without
-// decoding the whole matrix. The header and shard table are validated
-// eagerly — including that every shard's payload actually fits inside
-// the file, so a truncated map fails at open, not mid-query — while
-// each shard's CRC and structural invariants are verified lazily on
-// first touch. A distributed rank can therefore open a 100-shard file
-// and pay only for the shards covering its own row range, and
-// co-located processes mapping the same file share page cache instead
-// of each holding a private decoded copy.
+// mmap.go is the random-access read path of the .bcsr format (ReadBinary
+// is the sequential one): OpenBinary maps a file (mmap on unix, an
+// io.ReaderAt fallback elsewhere — same interface, chosen by build tag)
+// and exposes per-panel views without decoding the whole matrix. The
+// header, shard table and shard framing are validated eagerly —
+// including that every shard's payload actually fits inside the file,
+// so a truncated map fails at open, not mid-query — while each shard's
+// CRC and structural invariants are verified lazily on first touch,
+// with the same rules and messages as ReadBinary. A distributed rank
+// can therefore open a 100-shard file and pay only for the shards
+// covering its own row range, and co-located processes mapping the same
+// file share page cache instead of each holding a private decoded copy.
 
 // mapSource is random access to the bytes of an open .bcsr file.
 // Memory-backed implementations (mmap, in-memory test buffers) hand out
@@ -176,8 +177,8 @@ func newMapped(src mapSource, size int64) (*Mapped, error) {
 	return mp, nil
 }
 
-// readAtFull reads len(p) bytes at off, mirroring the streaming
-// reader's EOF classification when the file is too short.
+// readAtFull reads len(p) bytes at off, mirroring ReadBinary's EOF
+// classification when the file is too short.
 func readAtFull(src io.ReaderAt, p []byte, off, size int64) error {
 	if remain := size - off; remain < int64(len(p)) {
 		if remain <= 0 {
@@ -218,8 +219,8 @@ func (mp *Mapped) Stats() MappedStats {
 // checksumming it once on first access. The returned slice is a
 // zero-copy window into the mapping when the platform mmaps; the
 // pread fallback caches the shard's bytes instead. Structural
-// validation is not included: the decode paths validate while decoding
-// (decodePanel), and the lazy row accessors go through touchChecked.
+// validation is not included: DecodePanelInto checks while decoding,
+// and the lazy row accessors go through touchChecked.
 func (mp *Mapped) touch(s int) ([]byte, error) {
 	mp.once[s].Do(func() {
 		want := mp.payloadLen(s)
@@ -248,16 +249,14 @@ func (mp *Mapped) touch(s int) ([]byte, error) {
 // touchChecked is touch plus the one-time structural validation the
 // lazy row accessors need: they index straight into the raw bytes, so
 // a CRC-consistent but malformed shard must be rejected before any
-// row pointer is trusted. Decode paths skip this — decodePanel
-// enforces the same rules while materializing.
+// row pointer is trusted.
 func (mp *Mapped) touchChecked(s int) ([]byte, error) {
 	b, err := mp.touch(s)
 	if err != nil {
 		return nil, err
 	}
 	mp.chkOnce[s].Do(func() {
-		rows := int(mp.lay.hi[s] - mp.lay.lo[s])
-		if err := checkPanel(b, rows, mp.pNNZ[s], int(mp.lay.n), int(mp.lay.lo[s]), mp.pBase[s]); err != nil {
+		if err := decodePanel(nil, b, int(mp.lay.lo[s]), int(mp.lay.hi[s]), int(mp.lay.n), mp.pNNZ[s], mp.pBase[s]); err != nil {
 			mp.chkErr[s] = fmt.Errorf("sparse: bcsr shard %d: %w", s, err)
 		}
 	})
@@ -275,30 +274,18 @@ func (mp *Mapped) payloadLen(s int) int64 {
 // DecodePanelInto appends shard s's rows to a CSR under assembly. a
 // must have the mapped matrix's dimensions with RowPtr fully allocated
 // (len M+1), and panels must be appended in ascending shard order; the
-// entry base is taken from len(a.Col), so a shard-native rank starts
-// from its first owned shard and leaves the other rows' RowPtr flat.
+// entries land at len(a.Col), so a shard-native rank starts from its
+// first owned shard and leaves the other rows' RowPtr flat. Errors name
+// global rows and entries, as ReadBinary's do.
 func (mp *Mapped) DecodePanelInto(a *CSR, s int) error {
 	payload, err := mp.touch(s)
 	if err != nil {
 		return err
 	}
-	if derr := decodePanel(a, payload, int(mp.lay.lo[s]), int(mp.lay.hi[s]), int64(len(a.Col)), mp.pNNZ[s]); derr != nil {
+	if derr := decodePanel(a, payload, int(mp.lay.lo[s]), int(mp.lay.hi[s]), int(mp.lay.n), mp.pNNZ[s], mp.pBase[s]); derr != nil {
 		return fmt.Errorf("sparse: bcsr shard %d: %w", s, derr)
 	}
 	return nil
-}
-
-// Matrix decodes every shard into a CSR — the mapped reader's
-// equivalent of ReadBinary, identical in both result and error for any
-// input the two can both open.
-func (mp *Mapped) Matrix() (*CSR, error) {
-	a := &CSR{M: int(mp.lay.m), N: int(mp.lay.n), RowPtr: make([]int64, mp.lay.m+1)}
-	for s := 0; s < mp.Shards(); s++ {
-		if err := mp.DecodePanelInto(a, s); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
 }
 
 // shardOfRow returns the shard whose panel contains row i.
@@ -373,54 +360,4 @@ func (mp *Mapped) AppendRowVals(dst []float64, i int) ([]float64, error) {
 func (mp *Mapped) Close() error {
 	mp.closeOnce.Do(func() { mp.closeErr = mp.src.Close() })
 	return mp.closeErr
-}
-
-// checkPanel validates a shard payload's structural invariants — the
-// same rules, in the same order, with the same messages as decodePanel
-// — against the raw bytes, so lazy row accessors can trust a verified
-// shard without materializing it. rowBase/entryBase globalize the row
-// and entry indices in messages exactly as decodePanel's do.
-func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int, entryBase int64) error {
-	ptrEnd := int64(rows+1) * 8
-	ptr := payload[:ptrEnd]
-	cols := payload[ptrEnd : ptrEnd+snnz*4]
-	vals := payload[ptrEnd+snnz*4:]
-	if first := int64(binary.LittleEndian.Uint64(ptr)); first != 0 {
-		return fmt.Errorf("panel rowPtr starts at %d, want 0", first)
-	}
-	prev := int64(0)
-	rowPtr := make([]int64, rows+1)
-	for r := 0; r <= rows; r++ {
-		p := int64(binary.LittleEndian.Uint64(ptr[r*8:]))
-		if p < prev || p > snnz {
-			return fmt.Errorf("panel rowPtr not monotone in [0, %d]: row %d has %d after %d", snnz, r, p, prev)
-		}
-		prev = p
-		rowPtr[r] = p
-	}
-	if prev != snnz {
-		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
-	}
-	for k := int64(0); k < snnz; k++ {
-		c := binary.LittleEndian.Uint32(cols[k*4:])
-		if uint64(c) >= uint64(n) {
-			return fmt.Errorf("column %d out of range [0, %d)", c, n)
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for k := rowPtr[r] + 1; k < rowPtr[r+1]; k++ {
-			a := binary.LittleEndian.Uint32(cols[(k-1)*4:])
-			b := binary.LittleEndian.Uint32(cols[k*4:])
-			if b <= a {
-				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, b, a)
-			}
-		}
-	}
-	for k := int64(0); k < snnz; k++ {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("entry %d has non-finite value %v", entryBase+k, v)
-		}
-	}
-	return nil
 }

@@ -34,6 +34,18 @@ func multiShardBCSR(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// decodeAll decodes every shard of mp, in shard order, into one CSR.
+func decodeAll(mp *Mapped) (*CSR, error) {
+	m, n := mp.Dims()
+	a := &CSR{M: m, N: n, RowPtr: make([]int64, m+1)}
+	for s := 0; s < mp.Shards(); s++ {
+		if err := mp.DecodePanelInto(a, s); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
 func writeTempBCSR(t *testing.T, data []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "m.bcsr")
@@ -56,9 +68,9 @@ func TestMappedMatrixMatchesReadBinary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: OpenBinary: %v", trial, err)
 		}
-		got, err := mp.Matrix()
+		got, err := decodeAll(mp)
 		if err != nil {
-			t.Fatalf("trial %d: Matrix: %v", trial, err)
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		if !Equal(a, got) {
 			t.Fatalf("trial %d: mapped decode differs from source", trial)
@@ -74,7 +86,7 @@ func TestMappedMatrixMatchesReadBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2, err := mb.Matrix()
+		got2, err := decodeAll(mb)
 		if err != nil || !Equal(a, got2) {
 			t.Fatalf("trial %d: bytes-backed decode differs (err=%v)", trial, err)
 		}
@@ -99,7 +111,7 @@ func TestMappedReaderAtFallbackMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mp.Matrix()
+	got, err := decodeAll(mp)
 	if err != nil || !Equal(a, got) {
 		t.Fatalf("pread fallback decode differs (err=%v)", err)
 	}
@@ -195,7 +207,7 @@ func mappedErr(data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = mp.Matrix()
+	_, err = decodeAll(mp)
 	return err
 }
 
@@ -275,7 +287,7 @@ func TestMappedEmptyMatrix(t *testing.T) {
 	if mp.Shards() != 0 {
 		t.Fatalf("empty matrix has %d shards", mp.Shards())
 	}
-	got, err := mp.Matrix()
+	got, err := decodeAll(mp)
 	if err != nil || !Equal(empty, got) {
 		t.Fatalf("empty decode differs (err=%v)", err)
 	}
@@ -326,8 +338,8 @@ func TestReadChunkedKeepsScratch(t *testing.T) {
 }
 
 // TestCheckPanelMatchesDecodePanel: a CRC-correct but structurally
-// corrupt shard must be rejected by the lazy verifier with the same
-// message the decoding readers produce.
+// corrupt shard must be rejected by both decoding readers and by the
+// lazy row accessors' validate-only check with the same message.
 func TestCheckPanelMatchesDecodePanel(t *testing.T) {
 	valid := multiShardBCSR(t)
 	mp, err := openBinaryBytes(valid)
@@ -365,6 +377,15 @@ func TestCheckPanelMatchesDecodePanel(t *testing.T) {
 		}
 		if rbErr.Error() != mpErr.Error() {
 			t.Errorf("%s: error mismatch\n  ReadBinary: %v\n  mapped:     %v", name, rbErr, mpErr)
+		}
+		// The row accessors validate the raw bytes without decoding;
+		// they must report the same message.
+		lazy, err := openBinaryBytes(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lazy.AppendRowCols(nil, int(lazy.lay.lo[shard])); err == nil || err.Error() != rbErr.Error() {
+			t.Errorf("%s: row accessor err=%v, ReadBinary err=%v", name, err, rbErr)
 		}
 	}
 }
