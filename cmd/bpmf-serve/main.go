@@ -296,12 +296,10 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
+// predict never goes through the batcher: a prediction is one K-length
+// dot product with nothing to share across requests.
 func (rt route) predict(user, item int) (serve.Prediction, error) {
-	m := rt.srv.Model()
-	if rt.bt != nil {
-		return rt.bt.Predict(m, user, item)
-	}
-	return m.Predict(user, item)
+	return rt.srv.Model().Predict(user, item)
 }
 
 func (rt route) recommend(user, n int) ([]rank.Item, error) {
@@ -456,9 +454,9 @@ func handlePredict(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, map[string]any{
-		"user": user, "item": item,
-		"score": p.Score, "mean": p.Mean, "std": p.Std, "posterior": p.Posterior,
+	writeJSON(w, predictResponse{
+		Item: item, Mean: p.Mean, Posterior: p.Posterior,
+		Score: p.Score, Std: p.Std, User: user,
 	})
 }
 
@@ -481,7 +479,7 @@ func handleRecommend(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, map[string]any{"user": user, "items": itemsJSON(top)})
+	writeJSON(w, recommendResponse{Items: itemsJSON(top), User: user})
 }
 
 // foldInRequest is the /foldin body: a new user's observed ratings, a
@@ -544,10 +542,32 @@ func handleFoldIn(rt route, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func itemsJSON(top []rank.Item) []map[string]any {
-	out := make([]map[string]any, len(top))
+// The /predict and /recommend response bodies. Fields are declared in
+// sorted key order, the order encoding/json gives a map, so the bytes
+// match the map-encoded bodies earlier servers sent.
+type (
+	predictResponse struct {
+		Item      int     `json:"item"`
+		Mean      float64 `json:"mean"`
+		Posterior bool    `json:"posterior"`
+		Score     float64 `json:"score"`
+		Std       float64 `json:"std"`
+		User      int     `json:"user"`
+	}
+	recommendResponse struct {
+		Items []itemJSON `json:"items"`
+		User  int        `json:"user"`
+	}
+	itemJSON struct {
+		Item  int     `json:"item"`
+		Score float64 `json:"score"`
+	}
+)
+
+func itemsJSON(top []rank.Item) []itemJSON {
+	out := make([]itemJSON, len(top))
 	for i, it := range top {
-		out[i] = map[string]any{"item": it.Index, "score": it.Score}
+		out[i] = itemJSON{Item: it.Index, Score: it.Score}
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/config"
+	"repro/internal/rng"
 	"repro/internal/serve"
 )
 
@@ -365,5 +366,92 @@ func TestStatusOfShed(t *testing.T) {
 	}
 	if s := statusOf(fmt.Errorf("wrapped: %w", &serve.Shed{})); s != http.StatusServiceUnavailable {
 		t.Errorf("wrapped shed = %d, want 503", s)
+	}
+}
+
+// TestTypedResponsesMatchMapEncoding pins the typed /predict and
+// /recommend bodies byte for byte against the map[string]any encoding
+// the handlers used to send, over a seeded sample of queries on a model
+// trained from seeded random ratings.
+func TestTypedResponsesMatchMapEncoding(t *testing.T) {
+	const users, items = 40, 30
+	stream := rng.New(7)
+	var ratings []bpmf.Rating
+	for i := 0; i < 400; i++ {
+		ratings = append(ratings, bpmf.Rating{User: stream.Intn(users), Item: stream.Intn(items),
+			Value: float64(1 + stream.Intn(5))})
+	}
+	data, err := bpmf.DataFromRatings(users, items, ratings, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bpmf.Defaults()
+	cfg.K, cfg.Iters, cfg.Burnin, cfg.Seed = 3, 4, 2, 7
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	f, err := os.Create(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bpmf.TrainWithCheckpoint(data, cfg, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := serve.NewRegistry([]serve.ModelSpec{
+		{Name: "default", Path: ckpt, Opts: serve.Options{Alpha: cfg.Alpha}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	reg.EnableBatching(serve.DefaultBatchOptions())
+	mux := newMux(reg)
+	srv, _ := reg.Get("default")
+	m := srv.Model()
+
+	mapBody := func(v map[string]any) string {
+		var b strings.Builder
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	get := func(url string) string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	for i := 0; i < 60; i++ {
+		user, item := stream.Intn(users), stream.Intn(items)
+		p, err := m.Predict(user, item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mapBody(map[string]any{
+			"user": user, "item": item,
+			"score": p.Score, "mean": p.Mean, "std": p.Std, "posterior": p.Posterior,
+		})
+		if got := get(fmt.Sprintf("/v1/default/predict?user=%d&item=%d", user, item)); got != want {
+			t.Fatalf("predict %d,%d:\n got %s\nwant %s", user, item, got, want)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		user, n := stream.Intn(users), 1+stream.Intn(12)
+		top, err := m.Recommend(user, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := make([]map[string]any, len(top))
+		for k, it := range top {
+			list[k] = map[string]any{"item": it.Index, "score": it.Score}
+		}
+		want := mapBody(map[string]any{"user": user, "items": list})
+		if got := get(fmt.Sprintf("/v1/default/recommend?user=%d&n=%d", user, n)); got != want {
+			t.Fatalf("recommend %d n=%d:\n got %s\nwant %s", user, n, got, want)
+		}
 	}
 }

@@ -214,12 +214,15 @@ func main() {
 	// --- Act three: batched serving under load. ---
 	//
 	// Enable the request batcher on the registry (what bpmf-serve does
-	// from its Serving config) and drive the prod route with the same
-	// closed-loop scheduler cmd/bpmf-load uses over HTTP — here
-	// in-process, so the story runs anywhere. Concurrent VUs get their
-	// recommends coalesced into shared panel-blocked scoring flushes;
-	// every answer stays bit-identical to the per-request path.
-	reg.EnableBatching(serve.DefaultBatchOptions())
+	// from its Serving config, where coalescing is off by default) and
+	// drive the prod route with the same closed-loop scheduler
+	// cmd/bpmf-load uses over HTTP — here in-process, so the story runs
+	// anywhere. Concurrent VUs get their recommends coalesced into
+	// shared panel-blocked scoring rounds; every answer stays
+	// bit-identical to the per-request path.
+	opts := serve.DefaultBatchOptions()
+	opts.MaxBatch = 64
+	reg.EnableBatching(opts)
 	bt := reg.Batcher("prod")
 	prodModel := prodSrv.Model()
 

@@ -56,20 +56,27 @@ func (m ServeModel) Validate(name string) error {
 }
 
 // Serving configures the request path shared by every model route of
-// the registry: the batching window that coalesces concurrent requests
-// into shared GEMM flushes, the queue bound that sheds overload (503 +
+// the registry: the batcher that coalesces concurrent recommends into
+// shared GEMM rounds, the queue bound that sheds overload (503 +
 // Retry-After), and the per-client rate limit (429 + Retry-After).
 // Batching and the queue are per model route; the rate limit is per
 // (client, model).
 type Serving struct {
-	// MaxBatch caps how many queued requests one flush scores together
-	// (1 = disable coalescing, serve the per-request path).
+	// MaxBatch caps how many queued recommends one round scores together.
+	// The default 1 disables coalescing and serves the per-request path:
+	// on the measured catalog (2 727 items, K = 32, 2 vCPUs) it served as
+	// many req/s as batching at every concurrency (PERF.md).
 	MaxBatch int `json:"max_batch,omitempty"`
-	// MaxDelay bounds how long a busy batcher waits to fill a partial
-	// batch; an idle batcher always flushes immediately.
+	// MaxDelay bounds how long a round's leader may wait to fill a
+	// partial batch. Only a leader handed the role by the previous round
+	// waits; a request at an idle batcher scores at once. The default 0
+	// never waits: a round holds the requests that queued while the
+	// previous round scored, which is all the batching a closed loop of
+	// fewer than MaxBatch clients can form anyway.
 	MaxDelay Duration `json:"max_delay,omitempty"`
-	// QueueBound is the SLO bound on queued requests per model; beyond
-	// it new requests are shed with 503 (0 = unbounded).
+	// QueueBound is the SLO bound on queued recommend and fold-in
+	// requests per model (predicts never queue); beyond it new requests
+	// are shed with 503 + Retry-After (0 = unbounded).
 	QueueBound int `json:"queue_bound,omitempty"`
 	// Rate is the per-client admission rate in requests/second
 	// (0 = no rate limit).
@@ -81,13 +88,13 @@ type Serving struct {
 	RetryAfter Duration `json:"retry_after,omitempty"`
 }
 
-// DefaultServing returns the serving-path defaults: coalesce up to 64
-// requests, wait at most 200µs to fill a partial batch while busy, shed
-// beyond 1024 queued requests, no per-client rate limit.
+// DefaultServing returns the serving-path defaults: no coalescing (each
+// request scores on its own goroutine), never wait to fill a partial
+// batch, shed beyond 1024 queued requests when batching is on, no
+// per-client rate limit.
 func DefaultServing() Serving {
 	return Serving{
-		MaxBatch:   64,
-		MaxDelay:   Duration(200 * time.Microsecond),
+		MaxBatch:   1,
 		QueueBound: 1024,
 		RetryAfter: Duration(time.Second),
 	}
@@ -96,9 +103,9 @@ func DefaultServing() Serving {
 // RegisterFlags declares the serving-path flag surface over the
 // struct's current values.
 func (c *Serving) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max requests coalesced into one scoring flush (1 = unbatched)")
-	fs.Var(&c.MaxDelay, "max-delay", "max wait to fill a partial batch while busy (idle requests never wait)")
-	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed requests with 503 beyond this many queued per model (0 = unbounded)")
+	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max recommend requests coalesced into one scoring round (1 = unbatched, the default)")
+	fs.Var(&c.MaxDelay, "max-delay", "max wait for a handed-off round leader to fill a partial batch (0 = never wait; a request at an idle batcher never waits)")
+	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed recommend and fold-in requests with 503 + Retry-After beyond this many queued per model; predicts never queue (0 = unbounded)")
 	fs.Float64Var(&c.Rate, "rate", c.Rate, "per-client request rate limit in req/s (0 = unlimited)")
 	fs.IntVar(&c.Burst, "burst", c.Burst, "per-client token-bucket burst (0 = derive from -rate)")
 	fs.Var(&c.RetryAfter, "retry-after", "Retry-After hint attached to overload sheds")

@@ -13,19 +13,21 @@ import (
 // BatchOptions configures a model route's request batcher and admission
 // control. The zero value is not usable; start from DefaultBatchOptions.
 type BatchOptions struct {
-	// MaxBatch caps how many queued requests one flush scores together.
-	// 1 disables coalescing entirely: requests run the unbatched
-	// per-request path directly (the pre-batcher behavior, kept as the
-	// measurable baseline), with rate limiting still applied by Admit.
+	// MaxBatch caps how many queued requests one round scores together.
+	// 1 (the default) disables coalescing entirely: requests run the
+	// per-request path directly, with rate limiting still applied by
+	// Admit. On the measured catalog batching served no more req/s than
+	// this at any concurrency (PERF.md).
 	MaxBatch int
-	// MaxDelay bounds how long a flush waits to fill a partial batch.
-	// The wait only ever applies while the batcher is already busy: the
-	// first request to arrive at an idle batcher flushes immediately
-	// (single-flight), so p50 at low load does not regress. 0 never
-	// waits.
+	// MaxDelay bounds how long a round's leader waits to fill a partial
+	// batch. Only a leader handed the role by a previous round may wait:
+	// the first request to arrive at an idle batcher scores at once. 0
+	// never waits, so a batch holds exactly the requests that arrived
+	// while the previous round was scoring.
 	MaxDelay time.Duration
-	// QueueBound is the SLO bound on queued requests: when the queue is
-	// this deep, new requests are shed with ErrOverloaded instead of
+	// QueueBound is the SLO bound on queued recommend and fold-in
+	// requests (predicts never queue): when the queue is this deep, new
+	// requests are shed with a *Shed (HTTP 503 + Retry-After) instead of
 	// queuing unboundedly. 0 means no bound.
 	QueueBound int
 	// Rate is the per-client admission rate in requests/second enforced
@@ -42,13 +44,13 @@ type BatchOptions struct {
 	RetryAfter time.Duration
 }
 
-// DefaultBatchOptions returns the serving defaults: coalesce up to 64
-// requests per flush, wait at most 200µs to fill a partial batch while
-// busy, shed beyond 1024 queued requests, no per-client rate limit.
+// DefaultBatchOptions returns the serving defaults: no coalescing (each
+// request scores on its caller's goroutine), never wait to fill a
+// partial batch, shed beyond 1024 queued requests when batching is on,
+// no per-client rate limit.
 func DefaultBatchOptions() BatchOptions {
 	return BatchOptions{
-		MaxBatch:   64,
-		MaxDelay:   200 * time.Microsecond,
+		MaxBatch:   1,
 		QueueBound: 1024,
 		RetryAfter: time.Second,
 	}
@@ -82,12 +84,11 @@ func (s *Shed) Error() string {
 type jobKind uint8
 
 const (
-	jobPredict jobKind = iota
-	jobRecommend
+	jobRecommend jobKind = iota
 	jobRecommendVec
 )
 
-// scoreJob is one queued request. The model snapshot is captured at
+// scoreJob is one queued recommend. The model snapshot is captured at
 // submit time, so a batch formed across a concurrent hot reload scores
 // each request against exactly the snapshot its caller grabbed — the
 // same guarantee the unbatched path gives.
@@ -95,37 +96,41 @@ type scoreJob struct {
 	m    *Model
 	kind jobKind
 
-	user, item, n int
-	vec           la.Vector // explicit factor row (fold-in recommends)
-	excl          []int32   // explicit exclusions for vec
+	user, n int
+	vec     la.Vector // explicit factor row (fold-in recommends)
+	excl    []int32   // explicit exclusions for vec
 
 	items []rank.Item
-	pred  Prediction
 	err   error
-	done  chan struct{}
+	done  chan struct{} // closed once the job is scored
+	lead  chan struct{} // closed when the job is handed the leader role
 }
 
-// Batcher coalesces concurrent Predict/Recommend calls against one
-// model route into shared panel-blocked GEMM flushes, and applies
-// admission control in front of them. Scoring B recommends in one flush
+// Batcher coalesces concurrent Recommend/RecommendVector calls against
+// one model route into shared panel-blocked GEMM rounds, and applies
+// admission control in front of them. Scoring B recommends in one round
 // streams the item-factor matrix once instead of B times; every
 // response stays bit-identical to the per-request path (pinned by the
 // differential tests in batcher_test.go).
 //
-// There is no background goroutine: the first request to find the
-// batcher idle becomes the flusher and drains the queue inline,
-// batching whatever arrives while it works. All methods are safe for
-// concurrent use.
+// There is no background goroutine. Rounds follow group commit with
+// leader hand-off: the request that finds the batcher idle leads the
+// first round; while a round scores, later requests queue and park. The
+// leader cuts at most MaxBatch jobs off the queue head, scores them,
+// hands the leader role to the job then at the head (whose parked
+// caller wakes and leads the next round) and returns. Each caller thus
+// waits only for the round holding its own job. All methods are safe
+// for concurrent use.
 type Batcher struct {
 	opts BatchOptions
 
 	mu       sync.Mutex
 	queue    []*scoreJob
-	flushing bool
+	flushing bool          // a leader holds the role (running or handed off)
 	full     chan struct{} // signaled when the queue reaches MaxBatch
 
-	// Flush scratch, touched only by the single active flusher (the
-	// flushing flag's mutex hand-off orders accesses between flushers).
+	// Round scratch, touched only by the single leader (the mutex
+	// hand-off of the role orders accesses between leaders).
 	usersBuf, scoresBuf []float64
 
 	lim limiter
@@ -167,23 +172,10 @@ func (b *Batcher) Admit(client string) error {
 	return nil
 }
 
-// Predict serves Model.Predict through the batch queue: coalesced under
-// load, immediate when idle, shed when the queue is at its bound.
-func (b *Batcher) Predict(m *Model, user, item int) (Prediction, error) {
-	if b.opts.MaxBatch <= 1 {
-		return m.Predict(user, item)
-	}
-	j := &scoreJob{m: m, kind: jobPredict, user: user, item: item, done: make(chan struct{})}
-	if err := b.submit(j); err != nil {
-		return Prediction{}, err
-	}
-	return j.pred, j.err
-}
-
 // Recommend serves Model.Recommend through the batch queue. Requests
 // answered by the precomputed top-N table bypass the queue (they do no
 // scoring work to share); everything else contributes its user row to
-// the next flush's multi-user GEMM.
+// its round's multi-user GEMM.
 func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
 	if err := m.checkUser(user); err != nil {
 		return nil, err
@@ -197,7 +189,7 @@ func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
 	if b.opts.MaxBatch <= 1 {
 		return m.Recommend(user, n)
 	}
-	j := &scoreJob{m: m, kind: jobRecommend, user: user, n: n, done: make(chan struct{})}
+	j := &scoreJob{m: m, kind: jobRecommend, user: user, n: n}
 	if err := b.submit(j); err != nil {
 		return nil, err
 	}
@@ -217,19 +209,20 @@ func (b *Batcher) RecommendVector(m *Model, u la.Vector, excl []int32, n int) ([
 	if b.opts.MaxBatch <= 1 {
 		return m.RecommendVector(u, excl, n)
 	}
-	j := &scoreJob{m: m, kind: jobRecommendVec, vec: u, excl: excl, n: n, done: make(chan struct{})}
+	j := &scoreJob{m: m, kind: jobRecommendVec, vec: u, excl: excl, n: n}
 	if err := b.submit(j); err != nil {
 		return nil, err
 	}
 	return j.items, j.err
 }
 
-// submit queues one job and blocks until a flush completes it. If the
-// batcher is idle the caller becomes the flusher and drains the queue
-// inline — single-flight, no timer in the way of an uncontended
-// request. Returns a *Shed without queuing when the queue is at its
-// bound.
+// submit queues one job and returns once the round holding it is
+// scored. A caller that finds the batcher idle leads at once — no timer
+// in the way of an uncontended request; any other caller parks until a
+// leader scores its job or hands it the leader role. Returns a *Shed
+// without queuing when the queue is at its bound.
 func (b *Batcher) submit(j *scoreJob) error {
+	j.done, j.lead = make(chan struct{}), make(chan struct{})
 	b.mu.Lock()
 	if b.opts.QueueBound > 0 && len(b.queue) >= b.opts.QueueBound {
 		b.mu.Unlock()
@@ -245,53 +238,62 @@ func (b *Batcher) submit(j *scoreJob) error {
 	if !b.flushing {
 		b.flushing = true
 		b.mu.Unlock()
-		b.flushLoop()
-	} else {
-		b.mu.Unlock()
+		b.lead(false)
+		return nil
 	}
-	<-j.done
+	b.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-j.lead:
+		b.lead(true) // j is at the queue head, so this round scores it
+	}
 	return nil
 }
 
-// flushLoop drains the queue in MaxBatch-sized rounds until it is
-// empty, then retires the flusher. The first round takes whatever is
-// queued immediately; later rounds — which only exist because requests
-// piled up while the previous round scored — wait up to MaxDelay for a
-// partial batch to fill before flushing it.
-func (b *Batcher) flushLoop() {
-	first := true
-	for {
-		b.mu.Lock()
-		if len(b.queue) == 0 {
-			b.flushing = false
-			b.mu.Unlock()
-			return
-		}
-		if !first && b.opts.MaxDelay > 0 && len(b.queue) < b.opts.MaxBatch {
-			b.mu.Unlock()
-			t := time.NewTimer(b.opts.MaxDelay)
-			select {
-			case <-b.full:
-			case <-t.C:
-			}
-			t.Stop()
-			b.mu.Lock()
-		}
-		n := len(b.queue)
-		if n > b.opts.MaxBatch {
-			n = b.opts.MaxBatch
-		}
-		batch := make([]*scoreJob, n)
-		copy(batch, b.queue[:n])
-		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = nil // release job pointers past the new tail
-		}
-		b.queue = b.queue[:rest]
+// lead runs one round as the leader: it cuts at most MaxBatch jobs off
+// the queue head, scores them, then hands the leader role to the job
+// now at the head, or retires it when the queue is empty. A leader
+// handed the role by a previous round (handed) may first wait up to
+// MaxDelay for a partial batch to fill; the leader of an idle batcher
+// never waits.
+func (b *Batcher) lead(handed bool) {
+	b.mu.Lock()
+	if handed && b.opts.MaxDelay > 0 && len(b.queue) < b.opts.MaxBatch {
 		b.mu.Unlock()
-		b.run(batch)
-		first = false
+		t := time.NewTimer(b.opts.MaxDelay)
+		select {
+		case <-b.full:
+		case <-t.C:
+		}
+		t.Stop()
+		b.mu.Lock()
 	}
+	n := min(len(b.queue), b.opts.MaxBatch)
+	batch := make([]*scoreJob, n)
+	copy(batch, b.queue[:n])
+	rest := copy(b.queue, b.queue[n:])
+	for i := rest; i < len(b.queue); i++ {
+		b.queue[i] = nil // release job pointers past the new tail
+	}
+	b.queue = b.queue[:rest]
+	// A "batch full" token posted while this round's jobs queued belongs
+	// to this round; left behind, it would cut a later partial round's
+	// MaxDelay wait short.
+	select {
+	case <-b.full:
+	default:
+	}
+	b.mu.Unlock()
+
+	b.run(batch)
+
+	b.mu.Lock()
+	if len(b.queue) == 0 {
+		b.flushing = false
+	} else {
+		close(b.queue[0].lead)
+	}
+	b.mu.Unlock()
 }
 
 // run scores one batch. Jobs are grouped by model snapshot (a hot
@@ -313,29 +315,16 @@ func (b *Batcher) run(batch []*scoreJob) {
 	}
 }
 
-// runModel completes one same-snapshot slice of a batch: predicts run
-// the (cheap) per-pair path directly; recommends are gathered into a
-// users matrix, scored with one panel-blocked batch GEMM, and selected
-// with the batched top-N driver plus the model's own exclusion and
-// clamp tail.
+// runModel completes one same-snapshot slice of a batch: the jobs'
+// factor rows are gathered into a users matrix, scored with one
+// panel-blocked batch GEMM, and selected with the batched top-N driver
+// plus the model's own exclusion and clamp tail.
 func (b *Batcher) runModel(m *Model, jobs []*scoreJob) {
-	scored := jobs[:0:0]
-	for _, j := range jobs {
-		switch j.kind {
-		case jobPredict:
-			j.pred, j.err = m.Predict(j.user, j.item)
-		default:
-			// User/vector shapes were validated against this same snapshot
-			// at submit time.
-			scored = append(scored, j)
-		}
-	}
-	if len(scored) == 0 {
-		return
-	}
-	users := sizedMatrix(&b.usersBuf, len(scored), m.k)
-	scores := sizedMatrix(&b.scoresBuf, len(scored), m.v.Rows)
-	for i, j := range scored {
+	users := sizedMatrix(&b.usersBuf, len(jobs), m.k)
+	scores := sizedMatrix(&b.scoresBuf, len(jobs), m.v.Rows)
+	for i, j := range jobs {
+		// User/vector shapes were validated against this same snapshot
+		// at submit time.
 		if j.kind == jobRecommend {
 			copy(users.Row(i), m.u.Row(j.user))
 		} else {
@@ -344,10 +333,10 @@ func (b *Batcher) runModel(m *Model, jobs []*scoreJob) {
 	}
 	rank.ScoreBatchInto(m.v, users, scores)
 
-	excl := make([][]int32, len(scored))
-	ns := make([]int, len(scored))
+	excl := make([][]int32, len(jobs))
+	ns := make([]int, len(jobs))
 	var releases []func()
-	for i, j := range scored {
+	for i, j := range jobs {
 		if j.kind == jobRecommendVec {
 			excl[i], ns[i] = j.excl, j.n
 			continue
@@ -363,7 +352,7 @@ func (b *Batcher) runModel(m *Model, jobs []*scoreJob) {
 		excl[i], ns[i] = lst, j.n
 	}
 	lists := rank.TopNBatchExcluding(scores, excl, ns)
-	for i, j := range scored {
+	for i, j := range jobs {
 		if j.err == nil {
 			j.items = m.clampItems(lists[i])
 		}
@@ -374,7 +363,7 @@ func (b *Batcher) runModel(m *Model, jobs []*scoreJob) {
 }
 
 // sizedMatrix views rows x cols of buf, growing the backing slice on
-// demand so flush scratch is reused across rounds (and resized across
+// demand so round scratch is reused across rounds (and resized across
 // snapshots whose catalog dimensions differ).
 func sizedMatrix(buf *[]float64, rows, cols int) *la.Matrix {
 	need := rows * cols

@@ -68,9 +68,6 @@ func TestBatchedRecommendBitIdenticalAtFixedSizes(t *testing.T) {
 					}
 					batch[i] = &scoreJob{m: m, kind: jobRecommendVec, vec: vec, excl: excl,
 						n: 1 + stream.Intn(10), done: make(chan struct{})}
-				} else if i%5 == 3 {
-					batch[i] = &scoreJob{m: m, kind: jobPredict, user: stream.Intn(m.NumUsers()),
-						item: stream.Intn(items), done: make(chan struct{})}
 				} else {
 					batch[i] = &scoreJob{m: m, kind: jobRecommend, user: stream.Intn(m.NumUsers()),
 						n: 1 + stream.Intn(10), done: make(chan struct{})}
@@ -88,11 +85,6 @@ func TestBatchedRecommendBitIdenticalAtFixedSizes(t *testing.T) {
 					t.Fatalf("%s: %v", label, j.err)
 				}
 				switch j.kind {
-				case jobPredict:
-					want, err := m.Predict(j.user, j.item)
-					if err != nil || j.pred != want {
-						t.Fatalf("%s: predict %+v != %+v (%v)", label, j.pred, want, err)
-					}
 				case jobRecommend:
 					want, err := m.Recommend(j.user, j.n)
 					if err != nil {
@@ -112,9 +104,11 @@ func TestBatchedRecommendBitIdenticalAtFixedSizes(t *testing.T) {
 }
 
 // TestBatcherConcurrentMixedTraffic is the -race stress test: concurrent
-// mixed /predict- and /recommend-shaped traffic through the real
-// coalescing machinery (whatever batches happen to form) must answer
-// every request bit-identically to the unbatched path.
+// mixed /predict- and /recommend-shaped traffic, the recommends through
+// the real coalescing machinery (whatever batches happen to form), must
+// answer every recommend bit-identically to the unbatched path.
+// Predicts never enter the batcher; they run beside the rounds as
+// concurrent readers of the same snapshot.
 func TestBatcherConcurrentMixedTraffic(t *testing.T) {
 	ckpt, prob, cfg := trainedChain(t, 41, 6, 3)
 	opts := modelOptions(prob, cfg)
@@ -135,10 +129,8 @@ func TestBatcherConcurrentMixedTraffic(t *testing.T) {
 				switch it % 3 {
 				case 0:
 					user, item := stream.Intn(m.NumUsers()), stream.Intn(m.NumItems())
-					got, err := b.Predict(m, user, item)
-					want, werr := m.Predict(user, item)
-					if err != nil || werr != nil || got != want {
-						t.Errorf("worker %d it %d: predict %+v (%v) != %+v (%v)", w, it, got, err, want, werr)
+					if _, err := m.Predict(user, item); err != nil {
+						t.Errorf("worker %d it %d: predict: %v", w, it, err)
 						return
 					}
 				case 1:
@@ -288,8 +280,8 @@ func TestBatcherShedsAtQueueBoundAndRecovers(t *testing.T) {
 		t.Fatalf("unexpected shed: %+v", shed)
 	}
 
-	// Drain: run the flusher the parked flag was standing in for.
-	b.flushLoop()
+	// Drain: run the leader the parked flag was standing in for.
+	b.lead(false)
 	wg.Wait()
 	for i, err := range results {
 		if err != nil {
@@ -361,11 +353,6 @@ func TestBatcherUnbatchedMode(t *testing.T) {
 		}
 		want, _ := m.Recommend(i, 5)
 		sameItems(t, "unbatched", got, want)
-		p, err := b.Predict(m, i, i)
-		wp, _ := m.Predict(i, i)
-		if err != nil || p != wp {
-			t.Fatalf("predict %+v != %+v (%v)", p, wp, err)
-		}
 	}
 	b.mu.Lock()
 	depth := len(b.queue)
@@ -380,7 +367,7 @@ func TestBatcherUnbatchedMode(t *testing.T) {
 // unbatched methods, before any queuing.
 func TestBatcherErrorShapesMatchUnbatched(t *testing.T) {
 	m := syntheticModel(t, 10, 100, 4, Options{})
-	b := NewBatcher(DefaultBatchOptions())
+	b := NewBatcher(BatchOptions{MaxBatch: 64, QueueBound: 1024})
 	if _, err := b.Recommend(m, -1, 5); !errors.Is(err, ErrUserRange) {
 		t.Fatalf("negative user: %v", err)
 	}
@@ -393,7 +380,142 @@ func TestBatcherErrorShapesMatchUnbatched(t *testing.T) {
 	if _, err := b.RecommendVector(m, la.NewVector(3), nil, 5); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short vector: %v", err)
 	}
-	if _, err := b.Predict(m, 0, 100); !errors.Is(err, ErrItemRange) {
-		t.Fatalf("item beyond rows: %v", err)
+}
+
+// waitQueued blocks until b's queue holds depth jobs.
+func waitQueued(t *testing.T, b *Batcher, depth int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		b.mu.Lock()
+		got := len(b.queue)
+		b.mu.Unlock()
+		if got == depth {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", got, depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkedRecommends parks b's leader role, as if a round were scoring,
+// and starts one Recommend caller per user; it returns once every call
+// is queued. Wait on the returned group for the callers to return.
+func parkedRecommends(t *testing.T, b *Batcher, m *Model, users ...int) (*sync.WaitGroup, [][]rank.Item) {
+	t.Helper()
+	b.mu.Lock()
+	b.flushing = true
+	b.mu.Unlock()
+	var wg sync.WaitGroup
+	got := make([][]rank.Item, len(users))
+	for i, u := range users {
+		wg.Add(1)
+		go func(i, u int) {
+			defer wg.Done()
+			var err error
+			if got[i], err = b.Recommend(m, u, 5); err != nil {
+				t.Errorf("user %d: %v", u, err)
+			}
+		}(i, u)
+		waitQueued(t, b, i+1) // keep queue order equal to users order
+	}
+	return &wg, got
+}
+
+// TestBatcherHandsOffLeadToQueueHead pins the leader hand-off: with
+// MaxBatch=2 and three jobs queued, the woken leader scores its own
+// round of two, hands the role to the third job and returns — it does
+// not go on to score the third job itself. The third job is built by
+// hand with no caller behind it, so receiving the lead signal is the
+// only thing that can happen to it.
+func TestBatcherHandsOffLeadToQueueHead(t *testing.T) {
+	m := syntheticModel(t, 10, 100, 4, Options{})
+	b := NewBatcher(BatchOptions{MaxBatch: 2})
+	wg, got := parkedRecommends(t, b, m, 1, 2)
+	third := &scoreJob{m: m, kind: jobRecommend, user: 3, n: 5,
+		done: make(chan struct{}), lead: make(chan struct{})}
+	b.mu.Lock()
+	b.queue = append(b.queue, third)
+	close(b.queue[0].lead) // a previous round hands the role to the head
+	b.mu.Unlock()
+
+	wg.Wait()
+	for i, u := range []int{1, 2} {
+		want, _ := m.Recommend(u, 5)
+		sameItems(t, fmt.Sprintf("caller %d", i), got[i], want)
+	}
+	select {
+	case <-third.lead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queue head never received the lead")
+	}
+	select {
+	case <-third.done:
+		t.Fatal("the old leader scored a job beyond its own round")
+	default:
+	}
+	b.mu.Lock()
+	depth, flushing := len(b.queue), b.flushing
+	b.mu.Unlock()
+	if depth != 1 || !flushing {
+		t.Fatalf("after hand-off: depth %d flushing %v, want 1 true", depth, flushing)
+	}
+
+	// The handed job leads its own round and the batcher goes idle.
+	b.lead(true)
+	<-third.done
+	want, _ := m.Recommend(3, 5)
+	sameItems(t, "handed job", third.items, want)
+	b.mu.Lock()
+	flushing = b.flushing
+	b.mu.Unlock()
+	if flushing {
+		t.Fatal("batcher still flushing with an empty queue")
+	}
+}
+
+// TestBatcherRoundDrainsFullSignal pins the "batch full" bookkeeping: a
+// full round taken without waiting consumes the signal its jobs posted,
+// so a later partial round's MaxDelay wait is not cut short by it.
+func TestBatcherRoundDrainsFullSignal(t *testing.T) {
+	m := syntheticModel(t, 10, 100, 4, Options{})
+	b := NewBatcher(BatchOptions{MaxBatch: 2, MaxDelay: time.Hour})
+	wg, _ := parkedRecommends(t, b, m, 1, 2)
+	if len(b.full) != 1 {
+		t.Fatalf("a full queue posted %d signals, want 1", len(b.full))
+	}
+	b.lead(false)
+	wg.Wait()
+	if n := len(b.full); n != 0 {
+		t.Fatalf("%d stale batch-full signals left after the round", n)
+	}
+}
+
+// TestBatcherIdleLeaderNeverWaits pins the single-request fast path: a
+// request that finds the batcher idle scores at once, however long
+// MaxDelay is.
+func TestBatcherIdleLeaderNeverWaits(t *testing.T) {
+	m := syntheticModel(t, 10, 100, 4, Options{})
+	b := NewBatcher(BatchOptions{MaxBatch: 8, MaxDelay: time.Hour})
+	got := make([][]rank.Item, 3)
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		for u := range got {
+			var err error
+			if got[u], err = b.Recommend(m, u, 5); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an idle request waited on MaxDelay")
+	}
+	for u := range got {
+		want, _ := m.Recommend(u, 5)
+		sameItems(t, fmt.Sprintf("user %d", u), got[u], want)
 	}
 }
